@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the numerical kernels: SVD,
-// LRR, the Algorithm-1 sweep at several thread counts, the full update,
-// the batched engine entry points, OMP localization and SVR training.
+// LRR, the full update, the batched engine entry points, OMP localization
+// and SVR training.
 // These are runtime numbers, not paper figures; the paper's desktop
 // (i7-4790) runs the whole pipeline interactively and so must we.
 //
@@ -69,22 +69,6 @@ void BM_FullUpdate(benchmark::State& state) {
   eval::register_run(engine, run, "office");
   const auto cells = engine.reference_cells("office").value();
   const auto request = eval::collect_update_request(run, "office", cells, 45);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.reconstruct(request));
-  }
-}
-BENCHMARK(BM_FullUpdate);
-
-// The Algorithm-1 sweep (reconstruction only) at explicit thread counts;
-// Arg(1) is the single-thread allocation-free baseline the acceptance
-// criteria track, higher args exercise the iup::parallel fan-out.
-void BM_Algorithm1Sweep(benchmark::State& state) {
-  const auto& run = office();
-  api::Engine engine(api::EngineConfig().threads(
-      static_cast<std::size_t>(state.range(0))));
-  eval::register_run(engine, run, "office");
-  const auto cells = engine.reference_cells("office").value();
-  const auto request = eval::collect_update_request(run, "office", cells, 45);
   api::Result<api::UpdateResult> last = api::Status::internal("never ran");
   for (auto _ : state) {
     last = engine.reconstruct(request);
@@ -97,7 +81,7 @@ void BM_Algorithm1Sweep(benchmark::State& state) {
   state.counters["grouped_columns"] =
       static_cast<double>(last.value().solver.grouped_columns);
 }
-BENCHMARK(BM_Algorithm1Sweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_FullUpdate);
 
 // The X_hat = L R^T kernel (objective evaluation) on factor shapes from
 // the office grid up to a warehouse-scale grid.
@@ -179,35 +163,10 @@ void BM_GroundTruthSurvey(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundTruthSurvey);
 
-// --- PR 3 additions, appended last: inserting functions mid-file shifts
-// the code layout of every later benchmark, which on the office testbed
-// moved BM_SvdOfficeMatrix/BM_FullUpdate by double-digit percentages with
-// zero source changes.  Keep new registrations at the end.
-
-// The LRR ADMM fan-out at explicit thread counts (the single-thread
-// baseline is BM_LrrCorrelation above; results are bit-identical).
-void BM_LrrCorrelationThreads(benchmark::State& state) {
-  const auto& x = office().ground_truth.at_day(0);
-  const auto mic = core::extract_mic(x);
-  core::LrrOptions options;
-  options.threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_lrr(mic.x_mic, x, options));
-  }
-}
-BENCHMARK(BM_LrrCorrelationThreads)->Arg(2)->Arg(8);
-
-// Parallel QRCP column scoring inside the MIC extraction.
-void BM_MicExtractionThreads(benchmark::State& state) {
-  const auto& x = office().ground_truth.at_day(0);
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::extract_mic(x, core::MicStrategy::kQrcp,
-                          core::kMicDefaultRelTol, threads));
-  }
-}
-BENCHMARK(BM_MicExtractionThreads)->Arg(8);
+// --- Code-layout note: inserting functions mid-file shifts the code
+// layout of every later benchmark, which on the office testbed moved
+// BM_SvdOfficeMatrix/BM_FullUpdate by double-digit percentages with zero
+// source changes.  Keep new registrations at the end.
 
 // --- PR 4 additions (SIMD kernel layer + ADMM warm start), appended last
 // per the code-layout note above.

@@ -2,8 +2,7 @@
 //
 // Replays a simulated device fleet against a multi-site Engine: reader
 // threads stream drifting online RSS measurements (the sim drift model
-// moves the field day by day) through localize — alternating between the
-// direct lock-free path and the ServeFront coalescing front — while a
+// moves the field day by day) through the lock-free localize path while a
 // background thread commits periodic updates with a tight history limit,
 // so bundle publication, warm-start reuse and snapshot eviction all churn
 // underneath the readers for the whole run.
@@ -55,7 +54,6 @@
 #include "ingest/faults.hpp"
 #include "ingest/supervisor.hpp"
 #include "persist/durability.hpp"
-#include "serve/front.hpp"
 #include "serve/shard.hpp"
 #include "sim/sampler.hpp"
 
@@ -166,10 +164,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  serve::ServeFrontOptions front_options;
-  front_options.max_batch = 16;
-  front_options.max_wait = std::chrono::microseconds(200);
-  serve::ServeFront front(engine.shards(), front_options);
 
   // The fleet's drifting traces: each reader replays measurements whose
   // day index walks through the drift model's trajectory, so the online
@@ -191,9 +185,6 @@ int main(int argc, char** argv) {
     readers.emplace_back([&, t] {
       ReaderStats& my = stats[t];
       sim::Sampler sampler(run.testbed, "soak-" + std::to_string(t));
-      // Even readers take the direct lock-free path, odd readers go
-      // through the coalescing front — both serve the same bundles.
-      const bool via_front = (t % 2) == 1;
       std::size_t k = t;
       while (!stop.load(std::memory_order_acquire)) {
         const std::string& site = sites[k % sites.size()];
@@ -201,8 +192,7 @@ int main(int argc, char** argv) {
         const auto query =
             sampler.online_measurement((k * 7) % cells, day, 1);
         const auto t0 = Clock::now();
-        const auto result = via_front ? front.localize(site, query)
-                                      : engine.localize(site, query);
+        const auto result = engine.localize(site, query);
         const auto t1 = Clock::now();
         ++my.queries;
         my.latencies_us.push_back(
@@ -440,10 +430,6 @@ int main(int argc, char** argv) {
   std::printf("  updates   %llu committed, %llu failed\n",
               static_cast<unsigned long long>(updates_committed.load()),
               static_cast<unsigned long long>(update_errors.load()));
-  std::printf("  front     %llu requests in %llu batches (largest %llu)\n",
-              static_cast<unsigned long long>(front.total_requests()),
-              static_cast<unsigned long long>(front.total_batches()),
-              static_cast<unsigned long long>(front.largest_batch()));
   std::printf("  read-path lock violations: %llu\n",
               static_cast<unsigned long long>(violations));
 

@@ -1,6 +1,5 @@
 // Serving-path micro benches (google-benchmark): concurrent localize
-// throughput through the lock-free shard read path, direct and through
-// the ServeFront coalescing front.
+// throughput through the lock-free shard read path.
 //
 // BM_ServeThroughput/R drives R reader threads of single-measurement
 // engine.localize() calls and reports wall-clock per iteration (manual
@@ -23,7 +22,6 @@
 
 #include "api/engine.hpp"
 #include "eval/experiment.hpp"
-#include "serve/front.hpp"
 #include "sim/sampler.hpp"
 
 namespace {
@@ -54,7 +52,7 @@ double percentile_us(std::vector<double>& sorted_us, double p) {
   return sorted_us[idx];
 }
 
-/// Shared harness: R readers each issue `per_reader` calls through
+/// Harness: R readers each issue `per_reader` calls through
 /// `call(query)` per iteration; wall time is the overlapped window.
 template <typename Call>
 void serve_throughput_loop(benchmark::State& state, std::size_t readers,
@@ -131,31 +129,5 @@ void BM_ServeThroughput(benchmark::State& state) {
       });
 }
 BENCHMARK(BM_ServeThroughput)->Arg(1)->Arg(4)->UseManualTime();
-
-void BM_ServeFrontThroughput(benchmark::State& state) {
-  const auto& run = office();
-  api::Engine engine;
-  const auto registered = eval::register_run(engine, run, "office");
-  if (!registered.ok()) {
-    state.SkipWithError(registered.status().to_string().c_str());
-    return;
-  }
-  serve::ServeFrontOptions options;
-  options.max_batch = 16;
-  options.max_wait = std::chrono::microseconds(100);
-  serve::ServeFront front(engine.shards(), options);
-  const auto queries = serve_queries(16);
-  serve_throughput_loop(
-      state, static_cast<std::size_t>(state.range(0)), queries,
-      [&](const std::vector<double>& query) {
-        return front.localize("office", query);
-      });
-  state.counters["batch_avg"] =
-      front.total_batches() > 0
-          ? static_cast<double>(front.total_requests()) /
-                static_cast<double>(front.total_batches())
-          : 0.0;
-}
-BENCHMARK(BM_ServeFrontThroughput)->Arg(1)->Arg(4)->UseManualTime();
 
 }  // namespace

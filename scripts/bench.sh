@@ -2,12 +2,14 @@
 # Build Release and run the micro benches, maintaining the perf trajectory
 # in BENCH_micro.json: the previous run's numbers rotate into "before" and
 # the fresh run becomes "after", so every committed file carries a
-# before/after pair.
+# before/after pair.  Each run's "context" carries google-benchmark's host
+# metadata (num_cpus, caches, ...) plus the compiler and IUP_ARCH level the
+# benches were built with.
 #
 # Usage:
 #   scripts/bench.sh            full run (MIN_TIME=0.1s per benchmark)
 #   MIN_TIME=0.01 scripts/bench.sh   CI smoke run
-#   FILTER='BM_Algorithm1Sweep' scripts/bench.sh   subset
+#   FILTER='BM_FullUpdate' scripts/bench.sh   subset
 #   IUP_ARCH=x86-64-v3 scripts/bench.sh   pin the SIMD dispatch level
 #
 # Benches build at -march=native by default (IUP_ARCH=native): perf
@@ -52,13 +54,21 @@ for BIN in "${BINS[@]}"; do
          --benchmark_format=json > "$TMP"
 done
 
-python3 - "${TMPS[@]}" "$OUT" <<'EOF'
+CXX_PATH=$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' \
+           "$BUILD_DIR/CMakeCache.txt")
+COMPILER=$("$CXX_PATH" --version | sed -n 1p)
+
+COMPILER="$COMPILER" IUP_ARCH="$IUP_ARCH" python3 - "${TMPS[@]}" "$OUT" <<'EOF'
 import json
+import os
 import sys
 
 runs = [json.load(open(path)) for path in sys.argv[1:-1]]
 out_path = sys.argv[-1]
-entry = {"context": runs[0].get("context", {}),
+context = dict(runs[0].get("context", {}))
+context["compiler"] = os.environ["COMPILER"]
+context["iup_arch"] = os.environ["IUP_ARCH"]
+entry = {"context": context,
          "benchmarks": [b for run in runs
                         for b in run.get("benchmarks", [])]}
 try:

@@ -14,9 +14,9 @@ when any benchmark's wall-clock real_time regressed by more than
   sanity-check a change against the committed trajectory).
 
 Known-noisy rows are skipped by default: the multi-thread wall-clock rows
-(BM_*Sweep/2.., BM_UpdateBatchFourSites/4, BM_LocalizeBatch/8, ...) measure
-the fan-out against however many cores the host happens to have, so their
-wall clock is a property of the machine, not the code.  Additional rows can
+(BM_UpdateBatchFourSites/4, BM_LocalizeBatch/8, ...) measure the fan-out
+against however many cores the host happens to have, so their wall clock
+is a property of the machine, not the code.  Additional rows can
 be skipped with --skip (regex, repeatable).
 
 Rows faster than --noise-floor-ns in BOTH runs are reported as warnings
@@ -36,16 +36,12 @@ import sys
 
 # Wall-clock depends on the host's core count for these, not on the code.
 DEFAULT_SKIP = [
-    r"^BM_Algorithm1Sweep/(?!1$)\d+$",
-    r"^BM_LrrCorrelationThreads/\d+$",
-    r"^BM_MicExtractionThreads/\d+$",
     r"^BM_UpdateBatchFourSites/(?!1$)\d+$",
     r"^BM_LocalizeBatch/(?!1$)\d+$",
     r"^BM_RassGridSearch/(?!1$)\d+$",
     # Multi-reader serve rows overlap R threads on however many cores the
     # host has; the /1 rows (and their latency counters) stay gated.
     r"^BM_ServeThroughput/(?!1/)\d",
-    r"^BM_ServeFrontThroughput/(?!1/)\d",
 ]
 
 # Latency counters gated alongside real_time.  Only "smaller is better"

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "baselines/rass.hpp"
+#include "core/lrr.hpp"
 #include "core/mic.hpp"
 #include "loc/knn.hpp"
 #include "loc/omp.hpp"
@@ -64,16 +65,9 @@ Engine::Engine(EngineConfig config)
     : config_(std::move(config)),
       hooks_(config_.update_hooks()),
       store_(config_.history_limit()) {
-  // The effective thread count wins over the per-options thread knobs no
-  // matter in which order the fluent setters were called: the solver
-  // sweep, the MIC column scoring and the LRR fan-out all share it.
-  lrr_options_ = config_.lrr();
-  lrr_options_.threads = config_.threads();
   backend_ = config_.solver_backend();
   if (backend_ == nullptr) {
-    core::RsvdOptions options = config_.rsvd();
-    options.threads = config_.threads();
-    backend_ = make_backend(config_.solver_name(), options);
+    backend_ = make_backend(config_.solver_name(), config_.rsvd());
   }
   if (backend_ == nullptr) {
     throw std::invalid_argument("Engine: unknown solver backend '" +
@@ -143,13 +137,6 @@ Result<std::shared_ptr<const loc::Localizer>> Engine::build_localizer(
 
 Result<SnapshotPtr> Engine::register_site(std::string site,
                                           linalg::Matrix x_original,
-                                          linalg::Matrix b_mask) {
-  return register_site(std::move(site), std::move(x_original),
-                       std::move(b_mask), {});
-}
-
-Result<SnapshotPtr> Engine::register_site(std::string site,
-                                          linalg::Matrix x_original,
                                           linalg::Matrix b_mask,
                                           std::vector<SourceInfo> sources) {
   if (site.empty()) {
@@ -215,15 +202,14 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
   linalg::Matrix z;
   std::shared_ptr<const core::LrrWarmStart> lrr_state;
   try {
-    mic = core::extract_mic(x_original, config_.mic_strategy(),
-                            core::kMicDefaultRelTol, config_.threads());
+    mic = core::extract_mic(x_original, config_.mic_strategy());
     if (mic.reference_cells.empty()) {
       return Status::invalid_argument(
           "register_site: fingerprint matrix has rank 0, no reference "
           "locations can be selected");
     }
     core::LrrResult lrr =
-        core::acquire_correlation_full(mic, x_original, lrr_options_);
+        core::solve_lrr(mic.x_mic, x_original, config_.lrr());
     z = std::move(lrr.z);
     // Seed the refresh warm-start cache from the registration solve, so
     // even the site's first update refreshes warm.
@@ -544,7 +530,7 @@ Result<core::LrrResult> Engine::refreshed_correlation(
     const core::LrrWarmStart* warm) const {
   try {
     const core::MicResult mic = core::mic_from_cells(x_hat, cells);
-    return core::acquire_correlation_full(mic, x_hat, lrr_options_, warm);
+    return core::solve_lrr(mic.x_mic, x_hat, config_.lrr(), warm);
   } catch (const std::exception& e) {
     return Status::internal(std::string("correlation refresh: ") + e.what());
   }
@@ -649,9 +635,8 @@ Result<UpdateResult> Engine::update_impl(const UpdateRequest& request) {
   // Post-solve correlation refresh: the reconstruction becomes the latest
   // database; optionally re-acquire Z from it for the next cycle (the
   // paper's "original or latest updated" phrasing).  Runs outside the
-  // lock, over the engine's thread budget, warm-started from the ADMM
-  // state cached for the exact snapshot this update read (version jumps
-  // reset to a cold solve).
+  // lock, warm-started from the ADMM state cached for the exact snapshot
+  // this update read (version jumps reset to a cold solve).
   std::vector<std::size_t> cells = snap->reference_cells();
   linalg::Matrix z = snap->correlation();
   std::shared_ptr<const core::LrrWarmStart> lrr_state;
@@ -763,14 +748,9 @@ std::vector<Result<UpdateResult>> Engine::update_batch(
   // exactly the snapshots and returns exactly the Results of the
   // sequential loop above.  Each chain carries its own post-commit MIC +
   // LRR correlation refresh, so site A's refresh overlaps site B's solve
-  // instead of serialising the whole batch behind the refreshes.  With
-  // fewer active chains than pool threads the surplus budget flows into
-  // the chains' solver/LRR fan-outs through the pool's budgeted nesting
-  // (iup::parallel submits one nested level to the shared queue): each
-  // chain's sweeps still partition by the engine-wide thread knob, and
-  // idle workers execute whichever chain's chunks are queued.  Results
-  // stay bit-identical to the sequential order — partitions depend only
-  // on (n, threads), never on which thread runs a chunk.
+  // instead of serialising the whole batch behind the refreshes.  A kRass
+  // localizer build inside a chain runs its per-axis fits inline (a
+  // nested parallel_for never re-enters the pool).
   std::vector<std::vector<std::size_t>> groups;
   std::unordered_map<std::string, std::size_t> group_of;
   for (std::size_t k = 0; k < requests.size(); ++k) {
@@ -785,7 +765,7 @@ std::vector<Result<UpdateResult>> Engine::update_batch(
       Result<UpdateResult>(Status::internal("update_batch: not processed")));
   parallel::parallel_for(
       threads, groups.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t /*slot*/) {
+      [&](std::size_t begin, std::size_t end) {
         for (std::size_t g = begin; g < end; ++g) {
           for (const std::size_t k : groups[g]) {
             results[k] = update(requests[k]);
@@ -879,7 +859,7 @@ Result<std::vector<loc::LocalizationEstimate>> Engine::localize_batch(
     std::vector<loc::LocalizationEstimate> estimates(measurements.size());
     parallel::parallel_for(
         threads, measurements.size(),
-        [&](std::size_t begin, std::size_t end, std::size_t /*slot*/) {
+        [&](std::size_t begin, std::size_t end) {
           for (std::size_t k = begin; k < end; ++k) {
             estimates[k] = bundle->localizer->localize(measurements[k]);
           }

@@ -18,9 +18,7 @@
 // serial localize against whichever version it observed (the bundle pins
 // database and localizer together).  The zero-locks contract is machine-
 // checked: the read paths run inside serve::ReadPathScope and every state
-// mutex routes through serve::note_state_lock_acquired().  Concurrent
-// single-measurement callers can additionally be coalesced into batch
-// panels by serve::ServeFront.
+// mutex routes through serve::note_state_lock_acquired().
 //
 // Batched entry points (update_batch / localize_batch) amortize per-site
 // state: snapshots and correlation matrices are reused from the store, the
@@ -28,12 +26,15 @@
 // the published bundle, and each commit caches its converged solver factor
 // in the site's shard as a versioned warm start for the next solve of the
 // same snapshot (EngineConfig::warm_start, on by default), skipping the
-// per-update initialisation SVD.  With EngineConfig::threads(n) > 1 they
-// fan out over iup::parallel: update_batch parallelises across *sites*
-// (same-site requests stay strictly ordered, so batches remain exactly
-// equivalent to sequential update() calls) and localize_batch across
-// measurements.  Solver and localizer-construction work always runs
-// outside the commit lock.
+// per-update initialisation SVD.
+//
+// Parallelism has one grain: EngineConfig::threads(n) is how many
+// independent work items run at once.  update_batch parallelises across
+// *sites* (same-site requests stay strictly ordered, so batches remain
+// exactly equivalent to sequential update() calls), localize_batch across
+// measurements, and a kRass localizer build across its SVR fits.  One
+// solve (sweep, MIC, LRR) always runs on one thread.  Solver and
+// localizer-construction work always runs outside the commit lock.
 #pragma once
 
 #include <cstdint>
@@ -141,8 +142,8 @@ struct UpdateResult {
 /// geometry-aware matching (KNN centroid averaging) and is mandatory for
 /// kRass; returns nullptr when it is missing for a kind that requires it.
 /// `threads` is the training budget for localizers that learn a model at
-/// construction (kRass SVR training: kernel-matrix rows + the per-axis
-/// fits fan out over iup::parallel, bit-identical for any value).
+/// construction (kRass: the per-axis SVR fits fan out over iup::parallel,
+/// bit-identical for any value).
 std::unique_ptr<loc::Localizer> make_localizer(
     LocalizerKind kind, const linalg::Matrix& database,
     const sim::Deployment* deployment = nullptr, std::size_t threads = 1);
@@ -158,21 +159,18 @@ class Engine {
   /// Register a deployment from its initial site survey: selects the MIC
   /// reference locations, acquires the correlation matrix Z, commits
   /// snapshot version 1 and publishes the site's first serving bundle.
-  Result<SnapshotPtr> register_site(std::string site,
-                                    linalg::Matrix x_original,
-                                    linalg::Matrix b_mask);
-  /// Multi-radio registration: as above, plus the site's per-link source
-  /// table — entry i names the transmitter behind fingerprint row i and
-  /// its technology (WiFi AP / BLE beacon / LoRa node).  `sources` must
-  /// be empty (legacy: source validation disabled) or have exactly one
-  /// entry per link, every id specified and unique.  The table is carried
-  /// immutably through every snapshot version the site commits, and
-  /// enforced against UpdateInputs::sources and (through the supervisor's
+  /// `sources` is the site's per-link source table — entry i names the
+  /// transmitter behind fingerprint row i and its technology (WiFi AP /
+  /// BLE beacon / LoRa node).  It must be empty (legacy: source
+  /// validation disabled) or have exactly one entry per link, every id
+  /// specified and unique.  The table is carried immutably through every
+  /// snapshot version the site commits, and enforced against
+  /// UpdateInputs::sources and (through the supervisor's
   /// ObservationBuffer) every streamed observation.
   Result<SnapshotPtr> register_site(std::string site,
                                     linalg::Matrix x_original,
                                     linalg::Matrix b_mask,
-                                    std::vector<SourceInfo> sources);
+                                    std::vector<SourceInfo> sources = {});
   Status drop_site(const std::string& site);
 
   /// Attach deployment geometry (cell centres) to a registered site; the
@@ -227,9 +225,9 @@ class Engine {
   const EngineConfig& config() const { return config_; }
   const SolverBackend& solver() const { return *backend_; }
 
-  /// The serve-layer registry backing this engine's sites.  ServeFront
-  /// and the soak/bench harnesses build on it; shards resolved from it
-  /// stay valid across drop_site.
+  /// The serve-layer registry backing this engine's sites.  The
+  /// soak/bench harnesses build on it; shards resolved from it stay valid
+  /// across drop_site.
   const serve::ShardRegistry& shards() const { return *shards_; }
 
   /// The site's current published serving bundle (lock-free).  Holding
@@ -300,12 +298,10 @@ class Engine {
                             const linalg::SpdStats& before) const;
 
   /// Post-commit correlation refresh: gather the reference columns of
-  /// `x_hat` (MIC) and re-solve the LRR for Z, both over the engine's
-  /// thread budget (lrr_options_), warm-starting the ADMM from `warm`
-  /// when given.  Runs outside the state lock; in update_batch the
-  /// per-site refreshes execute concurrently across sites, and at top
-  /// level (single-site batches, plain update()) the LRR's own column
-  /// fan-out uses the full budget.
+  /// `x_hat` (MIC) and re-solve the LRR for Z with config_.lrr(),
+  /// warm-starting the ADMM from `warm` when given.  Runs outside the
+  /// state lock; in update_batch the per-site refreshes execute
+  /// concurrently across sites.
   Result<core::LrrResult> refreshed_correlation(
       const linalg::Matrix& x_hat, const std::vector<std::size_t>& cells,
       const core::LrrWarmStart* warm) const;
@@ -351,9 +347,6 @@ class Engine {
   /// config_.update_hooks(): failure-path seams, empty (never consulted)
   /// by default.
   UpdateHooks hooks_;
-  /// config_.lrr() with the effective thread budget applied; every
-  /// correlation acquisition/refresh solves with these options.
-  core::LrrOptions lrr_options_;
   std::shared_ptr<const SolverBackend> backend_;
   /// warm_start() requested AND the backend actually consumes problem.l0;
   /// otherwise the cache is bypassed entirely (no copies, no retention).

@@ -106,9 +106,9 @@ class EngineConfig {
   /// which changes the second-and-later update() iterates (and thus
   /// committed x_hat values) relative to releases without the cache — the
   /// solver starts from a different, better L0.  Results remain
-  /// bit-identical across thread counts and across engines replaying the
-  /// same per-site request sequence; set warm_start(false) to reproduce
-  /// cold-start-era numbers exactly.
+  /// bit-identical across engines replaying the same per-site request
+  /// sequence; set warm_start(false) to reproduce cold-start-era numbers
+  /// exactly.
   EngineConfig& warm_start(bool value) {
     warm_start_ = value;
     return *this;
@@ -121,9 +121,8 @@ class EngineConfig {
   /// set_reference_cells) resets to a cold solve, so stale state can
   /// never leak across reference sets.  Changes refreshed Z values at
   /// iterate level (same fixed point within the ADMM tolerance); results
-  /// remain bit-identical across thread counts and across engines
-  /// replaying the same request sequence.  Set false for cold-refresh
-  /// numbers.
+  /// remain bit-identical across engines replaying the same request
+  /// sequence.  Set false for cold-refresh numbers.
   EngineConfig& lrr_warm_start(bool value) {
     lrr_warm_start_ = value;
     return *this;
@@ -149,16 +148,12 @@ class EngineConfig {
     history_limit_ = value;
     return *this;
   }
-  /// Worker threads (0 = all hardware threads).  Sets the solver sweep
-  /// parallelism (RsvdOptions::threads is overridden when the engine
-  /// builds its backend, regardless of setter order), the correlation
-  /// pipeline (MIC column scoring and the LRR ADMM fan-out, both at
-  /// registration and on every post-commit refresh) and the update_batch /
-  /// localize_batch fan-out.  When never called, the rsvd().threads value
-  /// applies throughout.  Results are bit-identical for any value: the
-  /// solver sweep and the MIC/LRR kernels never reorder a floating-point
-  /// reduction, and the batch fan-outs only parallelise independent work
-  /// (distinct sites / distinct measurements).
+  /// How many independent work items run at once (0 = all hardware
+  /// threads, default 1): the sites of an update_batch, the measurements
+  /// of a localize_batch, and the per-axis SVR fits of a kRass localizer
+  /// build.  One solve is never split.  Results are
+  /// bit-identical for any value, because only independent items run
+  /// concurrently.
   EngineConfig& threads(std::size_t value) {
     threads_ = value;
     return *this;
@@ -183,14 +178,9 @@ class EngineConfig {
   LocalizerKind localizer() const { return localizer_; }
   std::size_t history_limit() const { return history_limit_; }
   const UpdateHooks& update_hooks() const { return update_hooks_; }
-  std::size_t threads() const {
-    return threads_ == kInheritThreads ? rsvd_.threads : threads_;
-  }
+  std::size_t threads() const { return threads_; }
 
  private:
-  /// Sentinel: threads() inherits rsvd().threads until explicitly set.
-  static constexpr std::size_t kInheritThreads =
-      static_cast<std::size_t>(-1);
   core::RsvdOptions rsvd_;
   core::LrrOptions lrr_;
   core::MicStrategy mic_strategy_ = core::MicStrategy::kQrcp;
@@ -201,7 +191,7 @@ class EngineConfig {
   std::shared_ptr<const SolverBackend> solver_backend_;
   LocalizerKind localizer_ = LocalizerKind::kOmp;
   std::size_t history_limit_ = 0;
-  std::size_t threads_ = kInheritThreads;
+  std::size_t threads_ = 1;
   UpdateHooks update_hooks_;
 };
 

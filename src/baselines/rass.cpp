@@ -47,14 +47,13 @@ Rass::Rass(const linalg::Matrix& database, const sim::Deployment& deployment,
   const std::size_t threads = parallel::resolve_threads(options.threads);
   // Train the two per-axis models on the full grid, concurrently when the
   // budget allows (independent models — order cannot matter).
-  const auto fit_axes = [&](SvrOptions x_options, SvrOptions y_options) {
-    x_options.threads = threads;
-    y_options.threads = threads;
+  const auto fit_axes = [&](const SvrOptions& x_options,
+                            const SvrOptions& y_options) {
     svr_x_ = Svr(x_options);
     svr_y_ = Svr(y_options);
     parallel::parallel_for(
         std::min<std::size_t>(threads, 2), 2,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
+        [&](std::size_t begin, std::size_t end) {
           for (std::size_t k = begin; k < end; ++k) {
             if (k == 0) {
               svr_x_.fit(samples, tx);
@@ -70,13 +69,12 @@ Rass::Rass(const linalg::Matrix& database, const sim::Deployment& deployment,
   }
 
   // Grid search: every (C candidate, axis) pair is one independent fit on
-  // the holdout-complement rows, all batched through a single fan-out
-  // (each per-fit kernel-matrix construction gets the same thread budget,
-  // its fan-out nesting under this one).  Each slot of `fits` has exactly
-  // one owner, so the trained models are bit-identical for any thread
-  // count; the winner per axis is picked serially afterwards by
-  // strictly-lower holdout MSE (first candidate wins ties), then refit on
-  // the full grid so the deployed models use every surveyed cell.
+  // the holdout-complement rows, all batched through a single fan-out.
+  // Each slot of `fits` has exactly one owner, so the trained models are
+  // bit-identical for any thread count; the winner per axis is picked
+  // serially afterwards by strictly-lower holdout MSE (first candidate
+  // wins ties), then refit on the full grid so the deployed models use
+  // every surveyed cell.
   std::vector<std::size_t> train_rows;
   for (std::size_t i = 0; i < n; ++i) {
     if (i % kHoldoutStride != 0) train_rows.push_back(i);
@@ -93,11 +91,10 @@ Rass::Rass(const linalg::Matrix& database, const sim::Deployment& deployment,
   std::vector<Svr> fits(2 * grid, Svr(options.svr));
   parallel::parallel_for(
       threads, 2 * grid,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
+      [&](std::size_t begin, std::size_t end) {
         for (std::size_t k = begin; k < end; ++k) {
           SvrOptions candidate = options.svr;
           candidate.c = options.c_grid[k % grid];
-          candidate.threads = threads;
           fits[k] = Svr(candidate);
           fits[k].fit(train_samples, k < grid ? train_tx : train_ty);
         }

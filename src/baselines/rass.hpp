@@ -30,9 +30,8 @@ struct RassOptions {
   /// winner is refit on the full grid.  Empty (default) trains svr.c
   /// directly, exactly the pre-grid behaviour.
   std::vector<double> c_grid;
-  /// Worker threads for the grid fan-out and the per-fit kernel-matrix
-  /// construction (0 = all hardware threads).  Bit-identical results for
-  /// any value: every candidate fit and every kernel-matrix row has
+  /// Worker threads for the grid and per-axis fan-outs (0 = all hardware
+  /// threads).  Bit-identical results for any value: every fit has
   /// exactly one owner.
   std::size_t threads = 1;
 };

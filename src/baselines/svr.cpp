@@ -6,7 +6,6 @@
 
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/vec.hpp"
-#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 
 namespace iup::baselines {
@@ -55,21 +54,14 @@ void Svr::fit(const linalg::Matrix& x, const std::vector<double>& y) {
                ? options_.gamma
                : 1.0 / static_cast<double>(d);  // features are unit variance
 
-  // Kernel matrix (training sets here are <= a few hundred samples).
-  // Upper-triangle rows fan out over the pool — every row is written by
-  // exactly one chunk, so the matrix is bit-identical for any thread
-  // count; the mirror stays serial.
+  // Kernel matrix (training sets here are <= a few hundred samples):
+  // upper triangle, then the mirror.
   linalg::Matrix kmat(n, n);
-  parallel::parallel_for(
-      parallel::resolve_threads(options_.threads), n,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = i; j < n; ++j) {
-            kmat(i, j) =
-                kernel(train_x_.row_span(i), train_x_.row_span(j));
-          }
-        }
-      });
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      kmat(i, j) = kernel(train_x_.row_span(i), train_x_.row_span(j));
+    }
+  }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) kmat(j, i) = kmat(i, j);
   }

@@ -28,11 +28,6 @@ struct SvrOptions {
   std::size_t max_epochs = 200;
   double tol = 1e-5;        ///< objective-improvement stopping tolerance
   std::uint64_t seed = 17;  ///< pair-visit shuffling
-  /// Worker threads for the kernel-matrix construction (each row is owned
-  /// by exactly one chunk, so results are bit-identical for any value).
-  /// The SMO pair sweep itself is inherently sequential and stays serial;
-  /// its inner loops are vectorised through the SIMD kernel layer instead.
-  std::size_t threads = 1;
 };
 
 class Svr {

@@ -8,7 +8,6 @@
 #include "linalg/norms.hpp"
 #include "linalg/svd.hpp"
 #include "linalg/vec.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace iup::core {
 
@@ -17,8 +16,7 @@ namespace {
 // Per-call scratch of solve_lrr.  The ADMM state is stored TRANSPOSED:
 // a grid column of X / Z / E / Y1 / Y2 is a contiguous row here, so the
 // per-column Z back-substitution, the E shrinkage and the (A Z)^T product
-// all run on contiguous memory and each column is one independently-owned
-// unit of parallel work.  Everything is allocated once below; the
+// all run on contiguous memory.  Everything is allocated once below; the
 // iterations themselves never touch the heap.
 struct LrrWorkspace {
   linalg::Matrix xt;    ///< N x M : X^T
@@ -78,7 +76,6 @@ LrrResult solve_lrr(const linalg::Matrix& a, const linalg::Matrix& x,
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   const std::size_t big_n = x.cols();
-  const std::size_t threads = parallel::resolve_threads(options.threads);
 
   LrrWorkspace ws;
   linalg::transpose_into(x, ws.xt);
@@ -150,56 +147,48 @@ LrrResult solve_lrr(const linalg::Matrix& a, const linalg::Matrix& x,
     }
     svt_via_gram(ws, inv_mu);
 
-    // Z-update, (A Z)^T product and E-update in one fan-out over the N
-    // grid columns.  Every column (= row of the transposed state) is
-    // written by exactly one chunk and all cross-column inputs (at, lfac,
-    // jt, the multipliers) are read-only here, so the result is
-    // bit-identical for any thread count.
+    // Z-update, (A Z)^T product and E-update in one pass over the N grid
+    // columns (rows of the transposed state).
     const double tau = options.epsilon * inv_mu;
-    parallel::parallel_for(
-        threads, big_n, [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t r = begin; r < end; ++r) {
-            const auto xrow = ws.xt.row_span(r);
-            const auto y1row = ws.y1t.row_span(r);
-            const auto y2row = ws.y2t.row_span(r);
-            const auto jrow = ws.jt.row_span(r);
-            const auto d = ws.dt.row_span(r);
-            const auto erow = ws.et.row_span(r);
-            for (std::size_t i = 0; i < m; ++i) d[i] = xrow[i] - erow[i];
+    for (std::size_t r = 0; r < big_n; ++r) {
+      const auto xrow = ws.xt.row_span(r);
+      const auto y1row = ws.y1t.row_span(r);
+      const auto y2row = ws.y2t.row_span(r);
+      const auto jrow = ws.jt.row_span(r);
+      const auto d = ws.dt.row_span(r);
+      const auto erow = ws.et.row_span(r);
+      for (std::size_t i = 0; i < m; ++i) d[i] = xrow[i] - erow[i];
 
-            // (I + A^T A) z = A^T (X - E) + J + (A^T Y1 - Y2)/mu, built
-            // directly in the output row and solved there.
-            const auto zrow = ws.zt.row_span(r);
-            for (std::size_t jj = 0; jj < n; ++jj) {
-              const auto arow = ws.at.row_span(jj);
-              zrow[jj] = linalg::dot(arow, d) + jrow[jj] +
-                         (linalg::dot(arow, y1row) - y2row[jj]) * inv_mu;
-            }
-            linalg::solve_factored_spd(ws.lfac, zrow);
+      // (I + A^T A) z = A^T (X - E) + J + (A^T Y1 - Y2)/mu, built
+      // directly in the output row and solved there.
+      const auto zrow = ws.zt.row_span(r);
+      for (std::size_t jj = 0; jj < n; ++jj) {
+        const auto arow = ws.at.row_span(jj);
+        zrow[jj] = linalg::dot(arow, d) + jrow[jj] +
+                   (linalg::dot(arow, y1row) - y2row[jj]) * inv_mu;
+      }
+      linalg::solve_factored_spd(ws.lfac, zrow);
 
-            const auto azrow = ws.azt.row_span(r);
-            for (std::size_t i = 0; i < m; ++i) {
-              azrow[i] = linalg::dot(a.row_span(i), zrow);
-            }
+      const auto azrow = ws.azt.row_span(r);
+      for (std::size_t i = 0; i < m; ++i) {
+        azrow[i] = linalg::dot(a.row_span(i), zrow);
+      }
 
-            // E-update: l2,1 shrinkage of q = X - A Z + Y1/mu, column-wise.
-            double col_norm = 0.0;
-            for (std::size_t i = 0; i < m; ++i) {
-              const double q = xrow[i] - azrow[i] + y1row[i] * inv_mu;
-              col_norm += q * q;
-            }
-            col_norm = std::sqrt(col_norm);
-            const double shrink =
-                col_norm > tau ? (col_norm - tau) / col_norm : 0.0;
-            for (std::size_t i = 0; i < m; ++i) {
-              erow[i] = shrink * (xrow[i] - azrow[i] + y1row[i] * inv_mu);
-            }
-          }
-        });
+      // E-update: l2,1 shrinkage of q = X - A Z + Y1/mu, column-wise.
+      double col_norm = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        const double q = xrow[i] - azrow[i] + y1row[i] * inv_mu;
+        col_norm += q * q;
+      }
+      col_norm = std::sqrt(col_norm);
+      const double shrink =
+          col_norm > tau ? (col_norm - tau) / col_norm : 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        erow[i] = shrink * (xrow[i] - azrow[i] + y1row[i] * inv_mu);
+      }
+    }
 
-    // Multiplier updates and residual norms, fused.  The norms are global
-    // reductions, so this pass stays serial — its accumulation order must
-    // not depend on the chunk partition.
+    // Multiplier updates and residual norms, fused.
     double r1_sq = 0.0;
     double r2_sq = 0.0;
     for (std::size_t r = 0; r < big_n; ++r) {

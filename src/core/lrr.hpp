@@ -13,10 +13,8 @@
 // contiguous rows), the fixed normal matrix I + A^T A is factored exactly
 // once per call (back-substitution only per iteration), the J-update's
 // singular-value thresholding runs through the n x n Gram eigenproblem
-// instead of an SVD of the tall iterate, and the per-column work of each
-// iteration fans out over iup::parallel with the same one-owner-per-output
-// determinism guarantee as the solver sweep.  Steady-state iterations
-// perform zero heap allocations.
+// instead of an SVD of the tall iterate.  Steady-state iterations perform
+// zero heap allocations.
 #pragma once
 
 #include <cstddef>
@@ -37,20 +35,11 @@ struct LrrOptions {
   /// instead of rho, skipping most of the small-mu warm-up phase; once
   /// residuals fall geometrically the schedule drops back to rho.  The
   /// sequence stays monotone non-decreasing (capped at mu_max), so the
-  /// inexact-ALM convergence argument is unaffected.  Deterministic —
-  /// results remain bit-identical across thread counts — but iterates
-  /// differ from the fixed schedule, so the default stays off; warm
+  /// inexact-ALM convergence argument is unaffected.  Deterministic, but
+  /// iterates differ from the fixed schedule, so the default stays off; warm
   /// restarts (solve_lrr with a LrrWarmStart) always use it, cold solves
   /// only when this flag is set.
   bool adaptive_rho = false;
-  /// Worker threads for the per-column fan-out of each ADMM iteration
-  /// (Z back-substitution, E shrinkage and the A*Z product; 0 = all
-  /// hardware threads).  Results are bit-identical for any value: every
-  /// grid column owns its slice of the iterate and the residual-norm
-  /// reductions stay serial.  Note: api::Engine overrides this with its
-  /// effective EngineConfig::threads() budget, exactly as it does for
-  /// RsvdOptions::threads — set the engine-wide knob there.
-  std::size_t threads = 1;
 };
 
 struct LrrResult {

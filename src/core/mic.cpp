@@ -9,7 +9,7 @@
 namespace iup::core {
 
 MicResult extract_mic(const linalg::Matrix& x, MicStrategy strategy,
-                      double rel_tol, std::size_t threads) {
+                      double rel_tol) {
   if (x.empty()) throw std::invalid_argument("extract_mic: empty matrix");
   MicResult out;
   switch (strategy) {
@@ -18,8 +18,7 @@ MicResult extract_mic(const linalg::Matrix& x, MicStrategy strategy,
       break;
     }
     case MicStrategy::kQrcp: {
-      const linalg::QrcpResult f =
-          linalg::qr_column_pivoted(x, rel_tol, threads);
+      const linalg::QrcpResult f = linalg::qr_column_pivoted(x, rel_tol);
       out.reference_cells.assign(f.perm.begin(),
                                  f.perm.begin() + static_cast<long>(f.rank));
       // Sorted order makes the walk between reference locations shortest

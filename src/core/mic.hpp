@@ -25,11 +25,6 @@ namespace iup::core {
 
 enum class MicStrategy { kRref, kQrcp };
 
-/// Default relative rank tolerance of extract_mic — named so callers that
-/// must pass trailing arguments (e.g. a thread count) cannot drift from
-/// the default by restating it.
-inline constexpr double kMicDefaultRelTol = 1e-8;
-
 struct MicResult {
   std::vector<std::size_t> reference_cells;  ///< selected column indices
   linalg::Matrix x_mic;                      ///< M x n matrix of MIC columns
@@ -37,14 +32,9 @@ struct MicResult {
 };
 
 /// Extract the MIC set of `x`.  `rel_tol` is the relative rank tolerance.
-/// `threads` (0 = all hardware threads) fans the kQrcp column scoring out
-/// over iup::parallel with bit-identical results for any thread count (see
-/// linalg::qr_column_pivoted); kRref is a literal-paper reference path and
-/// stays serial.
 MicResult extract_mic(const linalg::Matrix& x,
                       MicStrategy strategy = MicStrategy::kQrcp,
-                      double rel_tol = kMicDefaultRelTol,
-                      std::size_t threads = 1);
+                      double rel_tol = 1e-8);
 
 /// Build an X_MIC matrix for an explicit set of reference cells (used by
 /// the Fig. 14 benchmark to evaluate 7 / 8+1 / 11-random reference sets).

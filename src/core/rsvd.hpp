@@ -42,10 +42,6 @@ struct RsvdOptions {
                                ///< scale ||X_B||_F^2
   bool use_constraint1 = true;
   bool use_constraint2 = true;
-  /// Worker threads for the per-column / per-row sweep (0 = all hardware
-  /// threads).  Results are bit-identical for any value: every column/row
-  /// owns its output slot and no floating-point reduction is reordered.
-  std::size_t threads = 1;
   Constraint2Mode c2_mode = Constraint2Mode::kGaussSeidel;
   FactorInit init = FactorInit::kWarmStart;
   std::uint64_t init_seed = 7;  ///< seed for kRandom initialisation
@@ -53,7 +49,7 @@ struct RsvdOptions {
   /// is inactive, the per-row solves of the L-update) by observation-mask
   /// signature: columns whose normal matrix Q is provably identical share
   /// one factor_spd and solve as a multi-RHS panel.  Results are
-  /// bit-identical to the ungrouped sweep at every thread count (the
+  /// bit-identical to the ungrouped sweep (the
   /// invariant is documented in self_augmented.hpp); the knob exists for
   /// the grouped-vs-ungrouped identity tests and A/B benches.
   bool group_masks = true;

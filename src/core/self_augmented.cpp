@@ -15,7 +15,6 @@
 #include "linalg/norms.hpp"
 #include "linalg/svd.hpp"
 #include "linalg/vec.hpp"
-#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 
 // Two index repairs relative to the published Algorithm 1 (documented in
@@ -31,21 +30,10 @@
 //      adjacent-link differences are penalised); kPaperLiteral keeps the
 //      published curvature including the first-row term.
 //
-// Parallel sweep invariants (the thread-count-determinism guarantee):
-//  * every column j of the R-update / row i of the L-update writes only
-//    its own output row and its chunk's workspace;
-//  * all shared inputs (L, R_prev, X_D, Gram products, G, H) are read-only
-//    during the fan-out;
-//  * no floating-point reduction crosses an index boundary, so the chunk
-//    partition cannot reorder any accumulation;
-//  * the mask-grouped sweep partitions parallel_for over the groups'
-//    member-count prefix space instead of columns (a group's members are
-//    solved against one shared factor, so they must stay in one chunk;
-//    weighting the partition by group size keeps chunks balanced when
-//    sizes are skewed); the group list is built once on the calling
-//    thread, each group writes only its members' output rows, and each
-//    member's solve is bit-identical to its per-column solve — so the
-//    1-vs-N-thread and grouped-vs-ungrouped identities both hold exactly.
+// Grouped == ungrouped: every column j of the R-update / row i of the
+// L-update writes only its own output row, the workspace is overwritten
+// from scratch per index, and each mask-group member's solve is
+// bit-identical to its per-column solve.
 namespace iup::core {
 
 namespace {
@@ -56,11 +44,10 @@ namespace {
 // The normal matrices Q are symmetric, so the outer-product accumulation
 // only fills the upper triangle (half the flops of the dense update);
 // symmetrize_lower() mirrors it once per solve.  The mirrored Q is exactly
-// symmetric and fully deterministic (in particular thread-count
-// invariant); it may differ from a dense two-triangle accumulation at ulp
-// level, because a weighted lower entry would round as (w*v[b])*v[a]
-// rather than the mirrored (w*v[a])*v[b].  The suffix axpys run through
-// the SIMD kernel layer (linalg/kernels/).
+// symmetric and fully deterministic; it may differ from a dense
+// two-triangle accumulation at ulp level, because a weighted lower entry
+// would round as (w*v[b])*v[a] rather than the mirrored (w*v[a])*v[b].
+// The suffix axpys run through the SIMD kernel layer (linalg/kernels/).
 void add_outer(linalg::Matrix& q, std::span<const double> v, double weight) {
   linalg::kernels::add_outer_upper(weight, v.data(), v.size(),
                                    q.data().data(), q.cols());
@@ -88,10 +75,9 @@ struct MaskGroup {
   std::vector<std::size_t> members;  ///< ascending column / row indices
 };
 
-/// Scratch owned by one worker chunk.  Everything is overwritten from
-/// scratch for every index, so reuse across indices (and across sweeps)
-/// cannot leak state — a precondition for thread-count invariance.
-struct ThreadWorkspace {
+/// Sweep scratch.  Everything is overwritten from scratch for every index,
+/// so reuse across indices (and across sweeps) cannot leak state.
+struct Workspace {
   linalg::Matrix q;         ///< rr x rr normal-equation matrix
   std::vector<double> diag;  ///< rr, solve_spd_into retry scratch
   // Mask-group scratch: the rr x k multi-RHS block of one group, the
@@ -112,7 +98,6 @@ struct ThreadWorkspace {
 };
 
 struct SweepContext {
-  std::size_t threads = 1;
   // Shared read-only sweep products.
   linalg::Matrix ltl;     ///< L^T L
   linalg::Matrix rtr;     ///< R^T R
@@ -136,12 +121,6 @@ struct SweepContext {
   std::vector<MaskGroup> col_groups;  ///< R-update (grid columns)
   std::vector<MaskGroup> row_groups;  ///< L-update; only when Q is
                                       ///< mask-only (Constraint 2 inactive)
-  // Member-count prefix offsets of the groups above: the grouped fan-out
-  // partitions this virtual index space (one slot per member) so chunk
-  // work stays balanced when group sizes are skewed — a chunk executes
-  // exactly the groups whose prefix offset lands inside it.
-  std::vector<std::size_t> col_group_starts;
-  std::vector<std::size_t> row_group_starts;
   // Sweep outputs (double-buffered against l_hat / r_hat in solve()).
   linalg::Matrix r_next;
   linalg::Matrix l_next;
@@ -150,7 +129,7 @@ struct SweepContext {
   linalg::Matrix xd_obj;
   linalg::Matrix xdg_obj;
   linalg::Matrix hxd_obj;
-  std::vector<ThreadWorkspace> ws;
+  Workspace ws;
 };
 
 namespace {
@@ -166,7 +145,7 @@ namespace {
 /// LU-fallback replay below adds one group-level failure on top of the
 /// per-member ladders.)
 template <typename BuildQ>
-void solve_mask_group(const MaskGroup& grp, ThreadWorkspace& ws,
+void solve_mask_group(const MaskGroup& grp, Workspace& ws,
                       linalg::Matrix& out, const BuildQ& build_q) {
   build_q(ws.q, grp.members.front());
   if (grp.members.size() == 1) {
@@ -200,32 +179,6 @@ void solve_mask_group(const MaskGroup& grp, ThreadWorkspace& ws,
     const auto row = out.row_span(grp.members[c]);
     for (std::size_t i = 0; i < n; ++i) row[i] = ws.panel(i, c);
   }
-}
-
-/// Invoke `fn(group, slot)` exactly once per mask group, fanning out over
-/// the groups' member-count prefix space (`total` = sum of member counts,
-/// `starts` the prefix offsets).  The partition is size-weighted so chunk
-/// work stays balanced when group sizes are skewed, and chunk boundaries
-/// are pure integer arithmetic, so the chunk-to-group assignment — and
-/// therefore every bit of the result — is identical at every thread
-/// count: a chunk executes exactly the groups whose prefix offset starts
-/// inside it.  Shared by the R- and L-update grouped paths so the
-/// assignment rule cannot drift between them.
-template <typename PerGroup>
-void for_each_group_chunked(std::size_t threads, std::size_t total,
-                            const std::vector<MaskGroup>& groups,
-                            const std::vector<std::size_t>& starts,
-                            const PerGroup& fn) {
-  parallel::parallel_for(
-      threads, total,
-      [&](std::size_t begin, std::size_t end, std::size_t slot) {
-        std::size_t g = static_cast<std::size_t>(
-            std::lower_bound(starts.begin(), starts.end(), begin) -
-            starts.begin());
-        for (; g < starts.size() && starts[g] < end; ++g) {
-          fn(groups[g], slot);
-        }
-      });
 }
 
 }  // namespace
@@ -532,35 +485,24 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
     }
   };
 
+  Workspace& ws = ctx.ws;
+  ws.q.resize(rr, rr);
+  ws.diag.resize(rr);
   if (ctx.col_groups.empty()) {
     // Ungrouped sweep: one Q + one solve per column.
-    parallel::parallel_for(ctx.threads, n, [&](std::size_t begin,
-                                               std::size_t end,
-                                               std::size_t slot) {
-      ThreadWorkspace& ws = ctx.ws[slot];
-      ws.q.resize(rr, rr);
-      ws.diag.resize(rr);
-      for (std::size_t j = begin; j < end; ++j) {
-        build_q(ws.q, j);
-        build_rhs(j);
-        linalg::solve_spd_into(ws.q, ctx.r_next.row_span(j), ws.diag);
-      }
-    });
+    for (std::size_t j = 0; j < n; ++j) {
+      build_q(ws.q, j);
+      build_rhs(j);
+      linalg::solve_spd_into(ws.q, ctx.r_next.row_span(j), ws.diag);
+    }
     return;
   }
 
-  // Mask-grouped sweep: a group's members share one factored Q and must
-  // stay in one chunk (see for_each_group_chunked for the size-weighted
-  // deterministic partition).
-  for_each_group_chunked(
-      ctx.threads, n, ctx.col_groups, ctx.col_group_starts,
-      [&](const MaskGroup& grp, std::size_t slot) {
-        ThreadWorkspace& ws = ctx.ws[slot];
-        ws.q.resize(rr, rr);
-        ws.diag.resize(rr);
-        build_rhs_group(grp);
-        solve_mask_group(grp, ws, ctx.r_next, build_q);
-      });
+  // Mask-grouped sweep: a group's members share one factored Q.
+  for (const MaskGroup& grp : ctx.col_groups) {
+    build_rhs_group(grp);
+    solve_mask_group(grp, ws, ctx.r_next, build_q);
+  }
 }
 
 void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
@@ -645,6 +587,9 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
     }
   };
 
+  Workspace& ws = ctx.ws;
+  ws.q.resize(rr, rr);
+  ws.diag.resize(rr);
   if (!ctx.row_groups.empty()) {
     // Mask-grouped L-update.  Only reached when Constraint 2 is inactive
     // (solve() builds row_groups for mask-only Q), so Q is exactly
@@ -655,92 +600,80 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
       build_q_base(q, i);
       symmetrize_lower(q);
     };
-    for_each_group_chunked(
-        ctx.threads, m, ctx.row_groups, ctx.row_group_starts,
-        [&](const MaskGroup& grp, std::size_t slot) {
-          ThreadWorkspace& ws = ctx.ws[slot];
-          ws.q.resize(rr, rr);
-          ws.diag.resize(rr);
-          build_rhs_group(grp);
-          solve_mask_group(grp, ws, ctx.l_next, build_q);
-        });
+    for (const MaskGroup& grp : ctx.row_groups) {
+      build_rhs_group(grp);
+      solve_mask_group(grp, ws, ctx.l_next, build_q);
+    }
     return;
   }
 
-  parallel::parallel_for(ctx.threads, m, [&](std::size_t begin,
-                                             std::size_t end,
-                                             std::size_t slot) {
-    ThreadWorkspace& ws = ctx.ws[slot];
-    ws.q.resize(rr, rr);
-    ws.diag.resize(rr);
-    if (c2) {
-      ws.theta_t.resize(layout_.slots, rr);
-      ws.neighbor_sum.resize(layout_.slots);
-      ws.contrib.resize(rr);
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      linalg::Matrix& q = ws.q;
-      build_q_base(q, i);
-      build_rhs_base(i);
-      const auto c = ctx.l_next.row_span(i);
+  if (c2) {
+    ws.theta_t.resize(layout_.slots, rr);
+    ws.neighbor_sum.resize(layout_.slots);
+    ws.contrib.resize(rr);
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    linalg::Matrix& q = ws.q;
+    build_q_base(q, i);
+    build_rhs_base(i);
+    const auto c = ctx.l_next.row_span(i);
 
-      if (c2) {
-        // Theta_i stored transposed: row u of theta_t is the factor of
-        // band cell (i, u) — one contiguous copy per slot.
-        for (std::size_t u = 0; u < layout_.slots; ++u) {
-          r.copy_row_into(layout_.cell(i, u), ws.theta_t.row_span(u));
-        }
-        if (w.w2 > 0.0) {
-          if (gauss_seidel) {
-            // Row i of X_D*G is (l_i Theta_i) G: exactly quadratic in l_i
-            // with curvature (Theta G)(Theta G)^T = gram(G^T Theta^T).
-            linalg::multiply_into(g_t_, ws.theta_t, ws.tg);
-            linalg::gram_into(ws.tg, ws.gbuf);
-            linalg::add_scaled(q, w.w2, ws.gbuf);
-          } else {
-            for (std::size_t u = 0; u < layout_.slots; ++u) {
-              add_outer(q, ws.theta_t.row_span(u),
-                        w.w2 * row_norm_sq(g_, u));
-            }
-          }
-        }
-        if (w.w3 > 0.0) {
-          linalg::gram_into(ws.theta_t, ws.ttt);  // Theta Theta^T
-          if (gauss_seidel) {
-            double count = 0.0;
-            std::fill(ws.neighbor_sum.begin(), ws.neighbor_sum.end(), 0.0);
-            if (i > 0) {
-              count += 1.0;
-              for (std::size_t u = 0; u < layout_.slots; ++u) {
-                ws.neighbor_sum[u] += ctx.xd_cur(i - 1, u);
-              }
-            }
-            if (i + 1 < layout_.links) {
-              count += 1.0;
-              for (std::size_t u = 0; u < layout_.slots; ++u) {
-                ws.neighbor_sum[u] += ctx.xd_cur(i + 1, u);
-              }
-            }
-            linalg::add_scaled(q, w.w3 * count, ws.ttt);
-            // contrib = Theta * neighbor_sum, accumulated row by row of
-            // theta_t (same ascending-u order as the dense product).
-            std::fill(ws.contrib.begin(), ws.contrib.end(), 0.0);
-            for (std::size_t u = 0; u < layout_.slots; ++u) {
-              linalg::axpy(ws.neighbor_sum[u], ws.theta_t.row_span(u),
-                           ws.contrib);
-            }
-            linalg::axpy(w.w3, ws.contrib, c);
-          } else {
-            const double h_col_sq = i + 1 < layout_.links ? 2.0 : 1.0;
-            linalg::add_scaled(q, w.w3 * h_col_sq, ws.ttt);
+    if (c2) {
+      // Theta_i stored transposed: row u of theta_t is the factor of
+      // band cell (i, u) — one contiguous copy per slot.
+      for (std::size_t u = 0; u < layout_.slots; ++u) {
+        r.copy_row_into(layout_.cell(i, u), ws.theta_t.row_span(u));
+      }
+      if (w.w2 > 0.0) {
+        if (gauss_seidel) {
+          // Row i of X_D*G is (l_i Theta_i) G: exactly quadratic in l_i
+          // with curvature (Theta G)(Theta G)^T = gram(G^T Theta^T).
+          linalg::multiply_into(g_t_, ws.theta_t, ws.tg);
+          linalg::gram_into(ws.tg, ws.gbuf);
+          linalg::add_scaled(q, w.w2, ws.gbuf);
+        } else {
+          for (std::size_t u = 0; u < layout_.slots; ++u) {
+            add_outer(q, ws.theta_t.row_span(u),
+                      w.w2 * row_norm_sq(g_, u));
           }
         }
       }
-
-      symmetrize_lower(q);
-      linalg::solve_spd_into(q, c, ws.diag);
+      if (w.w3 > 0.0) {
+        linalg::gram_into(ws.theta_t, ws.ttt);  // Theta Theta^T
+        if (gauss_seidel) {
+          double count = 0.0;
+          std::fill(ws.neighbor_sum.begin(), ws.neighbor_sum.end(), 0.0);
+          if (i > 0) {
+            count += 1.0;
+            for (std::size_t u = 0; u < layout_.slots; ++u) {
+              ws.neighbor_sum[u] += ctx.xd_cur(i - 1, u);
+            }
+          }
+          if (i + 1 < layout_.links) {
+            count += 1.0;
+            for (std::size_t u = 0; u < layout_.slots; ++u) {
+              ws.neighbor_sum[u] += ctx.xd_cur(i + 1, u);
+            }
+          }
+          linalg::add_scaled(q, w.w3 * count, ws.ttt);
+          // contrib = Theta * neighbor_sum, accumulated row by row of
+          // theta_t (same ascending-u order as the dense product).
+          std::fill(ws.contrib.begin(), ws.contrib.end(), 0.0);
+          for (std::size_t u = 0; u < layout_.slots; ++u) {
+            linalg::axpy(ws.neighbor_sum[u], ws.theta_t.row_span(u),
+                         ws.contrib);
+          }
+          linalg::axpy(w.w3, ws.contrib, c);
+        } else {
+          const double h_col_sq = i + 1 < layout_.links ? 2.0 : 1.0;
+          linalg::add_scaled(q, w.w3 * h_col_sq, ws.ttt);
+        }
+      }
     }
-  });
+
+    symmetrize_lower(q);
+    linalg::solve_spd_into(q, c, ws.diag);
+  }
 }
 
 RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
@@ -765,8 +698,6 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   const Weights w = effective_weights(problem);
 
   SweepContext ctx;
-  ctx.threads = parallel::resolve_threads(options_.threads);
-  ctx.ws.resize(ctx.threads);
 
   // B is fixed across the whole solve: scan the observed/unobserved index
   // sets once, instead of re-testing every mask entry in every sweep.
@@ -842,18 +773,6 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
           m, ctx.unobs_cols, [](std::string&, std::size_t) {},
           ctx.row_groups);
     }
-    const auto prefix_starts = [](const std::vector<MaskGroup>& groups,
-                                  std::vector<std::size_t>& starts) {
-      starts.clear();
-      starts.reserve(groups.size());
-      std::size_t acc = 0;
-      for (const MaskGroup& grp : groups) {
-        starts.push_back(acc);
-        acc += grp.members.size();
-      }
-    };
-    prefix_starts(ctx.col_groups, ctx.col_group_starts);
-    prefix_starts(ctx.row_groups, ctx.row_group_starts);
   }
 
   RsvdResult out;

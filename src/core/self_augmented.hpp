@@ -14,10 +14,9 @@
 // in self_augmented.cpp; the ablation bench compares the literal and the
 // repaired (Gauss-Seidel) treatment of Constraint 2.
 //
-// Performance: the per-column and per-row solves are independent, so the
-// sweep fans out over RsvdOptions::threads via iup::parallel with
-// bit-identical results for any thread count (each index owns its output
-// row; no reduction is reordered).  All sweep scratch lives in a
+// Performance: the sweep runs serially — at paper scale (6-8 links x
+// 72-120 cells) a fan-out inside one solve costs more than it saves; the
+// engine parallelises across sites instead.  All sweep scratch lives in a
 // SweepContext of caller-owned buffers, so steady-state iterations perform
 // zero heap allocations.
 //
@@ -44,8 +43,8 @@
 // therefore every bit) unchanged.  The same
 // holds for L-update rows when Constraint 2 is inactive (with c2 active,
 // the per-row Theta curvature makes every row's Q unique).  Guarantees:
-// grouped and ungrouped sweeps are exactly equal, at every thread count
-// and kernel dispatch level (tests/linalg_spd_multi_test.cpp).
+// grouped and ungrouped sweeps are exactly equal at every kernel dispatch
+// level (tests/linalg_spd_multi_test.cpp).
 #pragma once
 
 #include <utility>
@@ -56,8 +55,8 @@
 namespace iup::core {
 
 /// Reusable buffers for one solve() call: factor iterates, shared sweep
-/// products and one workspace per worker thread.  Defined in
-/// self_augmented.cpp; stack-allocated by solve().
+/// products and the per-index workspace.  Defined in self_augmented.cpp;
+/// stack-allocated by solve().
 struct SweepContext;
 
 class SelfAugmentedRsvd {

@@ -20,10 +20,9 @@
 //
 //  * WITHIN one build (one dispatch level) every kernel is a pure
 //    function of its operand values and length — never of alignment,
-//    call site, tiling or thread count.  The solver sweep, the LRR
-//    fan-out and the batched engine entry points therefore keep the PR 2
-//    guarantee bit for bit: 1 thread and N threads produce identical
-//    results at every dispatch level.
+//    call site, tiling or thread count.  The batched engine entry points
+//    (update_batch, localize_batch, the RASS fits) therefore produce
+//    identical results at 1 and N threads at every dispatch level.
 //  * ACROSS levels results may differ at ulp magnitude: the AVX2 and
 //    AVX-512 levels contract mul+add to FMA on the element-wise kernels
 //    and reduce dot/norm accumulations through vector-lane accumulators

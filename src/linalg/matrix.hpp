@@ -21,7 +21,7 @@
 // bit-identical to a * b.transpose() (axpy-based ascending-k
 // accumulation) — they agree to reduction-reorder tolerance only.
 // Within one build every kernel is deterministic and independent of
-// tiling, alignment and thread count — the solver's
+// tiling, alignment and thread count — the batch fan-outs'
 // thread-count-invariance prerequisite (see linalg/kernels/kernels.hpp
 // for the cross-level contract).
 #pragma once

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "linalg/vec.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace iup::linalg {
 
@@ -72,12 +71,10 @@ QrResult qr(const Matrix& a) {
   return {std::move(q), std::move(r_thin)};
 }
 
-QrcpResult qr_column_pivoted(const Matrix& a, double rel_tol,
-                             std::size_t threads) {
+QrcpResult qr_column_pivoted(const Matrix& a, double rel_tol) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   const std::size_t k = std::min(m, n);
-  const std::size_t ways = parallel::resolve_threads(threads);
   Matrix work = a;
   std::vector<std::size_t> perm(n);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
@@ -127,35 +124,17 @@ QrcpResult qr_column_pivoted(const Matrix& a, double rel_tol,
     // residual column norm exactly.  The classic downdate (subtracting
     // work(j,c)^2) drifts once columns become nearly dependent, which
     // corrupts both the pivot order and the rank cutoff; our matrices are
-    // small, so the exact O(mn) refresh is cheap.  Each trailing column is
-    // owned by exactly one chunk (its work(:,c) entries and its
-    // col_norm2[c] slot), and both the reflector application and the norm
-    // accumulate serially within the column, so the fan-out is
-    // bit-identical for any thread count.
+    // small, so the exact O(mn) refresh is cheap.
     const bool have_reflector = norm_x > 0.0;
-    const auto score_columns = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t off = begin; off < end; ++off) {
-        const std::size_t c = j + off;
-        if (have_reflector) apply_reflector(work, c, j, v, beta);
-        if (c > j) {
-          double acc = 0.0;
-          for (std::size_t i = j + 1; i < m; ++i) {
-            acc += work(i, c) * work(i, c);
-          }
-          col_norm2[c] = acc;
+    for (std::size_t c = j; c < n; ++c) {
+      if (have_reflector) apply_reflector(work, c, j, v, beta);
+      if (c > j) {
+        double acc = 0.0;
+        for (std::size_t i = j + 1; i < m; ++i) {
+          acc += work(i, c) * work(i, c);
         }
+        col_norm2[c] = acc;
       }
-    };
-    if (ways <= 1) {
-      // Direct call on the serial path: no type-erased dispatch between
-      // the pivot step and its inner loops.
-      score_columns(0, n - j);
-    } else {
-      parallel::parallel_for(
-          ways, n - j,
-          [&](std::size_t begin, std::size_t end, std::size_t) {
-            score_columns(begin, end);
-          });
     }
     vs.push_back(std::move(v));
     betas.push_back(beta);

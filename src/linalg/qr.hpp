@@ -29,14 +29,8 @@ struct QrcpResult {
 };
 
 /// Column-pivoted QR; `rel_tol` is relative to the largest initial column
-/// norm and controls the reported numerical rank.  `threads` fans the
-/// per-step column scoring (reflector application + residual-norm refresh,
-/// the O(mn) bulk of every pivot step) out over iup::parallel; every
-/// trailing column is updated by exactly one chunk and scored by a serial
-/// per-column accumulation, so the factorisation — pivots, rank and all —
-/// is bit-identical for any thread count.  0 means all hardware threads.
-QrcpResult qr_column_pivoted(const Matrix& a, double rel_tol = 1e-9,
-                             std::size_t threads = 1);
+/// norm and controls the reported numerical rank.
+QrcpResult qr_column_pivoted(const Matrix& a, double rel_tol = 1e-9);
 
 /// Least squares: minimise ||a x - b||_2 for a tall full-column-rank a.
 std::vector<double> least_squares(const Matrix& a, std::span<const double> b);

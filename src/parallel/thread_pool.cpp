@@ -12,16 +12,18 @@ namespace iup::parallel {
 
 namespace {
 
-// Nesting depth of the current execution context: 0 outside the pool,
-// d+1 while executing a chunk of a batch submitted at depth d.  run()
-// submits to the pool while depth < kMaxNestDepth and degrades to
-// sequential chunk execution beyond that — one level of budgeted nesting
-// is enough for the engine's update_batch (site chains at depth 0, each
-// chain's solver/LRR fan-outs at depth 1), and a finite cap keeps the
-// termination argument trivial.
-thread_local std::size_t t_nest_depth = 0;
+// True while this thread executes a chunk of some run(); a run() started
+// there executes its whole range inline (see thread_pool.hpp).
+thread_local bool t_in_chunk = false;
 
-constexpr std::size_t kMaxNestDepth = 1;
+// Runs one chunk with t_in_chunk set.  Only reached with t_in_chunk
+// false: a run() inside a chunk never queues.
+template <typename Fn>
+void run_as_chunk(const Fn& fn) {
+  t_in_chunk = true;
+  fn();
+  t_in_chunk = false;
+}
 
 }  // namespace
 
@@ -47,7 +49,6 @@ std::size_t resolve_threads(std::size_t requested) {
 struct ThreadPool::Impl {
   struct Task {
     const void* batch_tag;  ///< identity of the run() that enqueued it
-    std::size_t depth;      ///< nesting depth the chunk executes at
     std::function<void()> fn;
   };
 
@@ -65,9 +66,7 @@ struct ThreadPool::Impl {
       auto task = std::move(queue.front());
       queue.pop_front();
       lock.unlock();
-      t_nest_depth = task.depth;
-      task.fn();
-      t_nest_depth = 0;
+      run_as_chunk(task.fn);
       lock.lock();
     }
   }
@@ -77,7 +76,6 @@ struct ThreadPool::Impl {
   // caller's own chunks: executing an unrelated batch's chunk here could
   // self-deadlock a caller that holds a lock that chunk also takes.
   void help_drain(const void* batch_tag) {
-    const std::size_t caller_depth = t_nest_depth;
     std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
       const auto it = std::find_if(
@@ -87,9 +85,7 @@ struct ThreadPool::Impl {
       auto task = std::move(*it);
       queue.erase(it);
       lock.unlock();
-      t_nest_depth = task.depth;
-      task.fn();
-      t_nest_depth = caller_depth;
+      run_as_chunk(task.fn);
       lock.lock();
     }
   }
@@ -117,31 +113,10 @@ std::size_t ThreadPool::workers() const { return impl_->threads.size(); }
 void ThreadPool::run(std::size_t n, std::size_t ways, const ChunkBody& body) {
   if (n == 0) return;
   ways = std::min(ways, n);
-  if (ways <= 1) {
-    body(0, n, 0);
+  if (ways <= 1 || t_in_chunk) {
+    body(0, n);
     return;
   }
-  const std::size_t depth = t_nest_depth;
-  if (depth > kMaxNestDepth) {
-    // Past the nesting budget: execute the same chunks sequentially.
-    // Identical partition, identical slots, identical results.
-    for (std::size_t c = 0; c < ways; ++c) {
-      const auto [begin, end] = chunk_range(n, ways, c);
-      body(begin, end, c);
-    }
-    return;
-  }
-  // Budgeted nesting (depth <= kMaxNestDepth): submit chunks to the
-  // shared queue even from inside a worker.  Idle workers pick them up,
-  // so when an outer fan-out has fewer chunks than the pool has threads
-  // (update_batch with few site chains), the surplus threads flow into
-  // the nested fan-outs instead of idling.  Deadlock-free by induction on
-  // depth: every nested caller first runs chunk 0 itself, then drains its
-  // own still-queued chunks (help_drain), so by the time it blocks, its
-  // remaining chunks are being executed by workers — and those chunks
-  // terminate because their own nesting bottoms out at the depth cap.
-  // Results are unchanged: the partition depends only on (n, ways) and
-  // every chunk owns its outputs, so WHO executes a chunk is invisible.
 
   struct Batch {
     std::mutex mutex;
@@ -159,7 +134,7 @@ void ThreadPool::run(std::size_t n, std::size_t ways, const ChunkBody& body) {
   const auto run_chunk = [&body, batch, n, ways](std::size_t c) {
     try {
       const auto [begin, end] = chunk_range(n, ways, c);
-      body(begin, end, c);
+      body(begin, end);
     } catch (...) {
       std::lock_guard<std::mutex> lock(batch->mutex);
       if (!batch->error) batch->error = std::current_exception();
@@ -171,18 +146,14 @@ void ThreadPool::run(std::size_t n, std::size_t ways, const ChunkBody& body) {
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     for (std::size_t c = 1; c < ways; ++c) {
-      impl_->queue.push_back(
-          {batch.get(), depth + 1, [run_chunk, c] { run_chunk(c); }});
+      impl_->queue.push_back({batch.get(), [run_chunk, c] { run_chunk(c); }});
     }
   }
   impl_->work_cv.notify_all();
 
-  // The caller owns chunk 0 (executed one nesting level deeper), then
-  // helps with its own still-queued chunks, then waits for chunks picked
-  // up by workers.
-  t_nest_depth = depth + 1;
-  run_chunk(0);
-  t_nest_depth = depth;
+  // The caller owns chunk 0, then helps with its own still-queued chunks,
+  // then waits for chunks picked up by workers.
+  run_as_chunk([&run_chunk] { run_chunk(0); });
   impl_->help_drain(batch.get());
   std::unique_lock<std::mutex> lock(batch->mutex);
   batch->done_cv.wait(lock, [&batch] { return batch->pending == 0; });
@@ -198,7 +169,7 @@ ThreadPool& ThreadPool::global() {
 
 void parallel_for(std::size_t threads, std::size_t n, const ChunkBody& body) {
   if (threads <= 1 || n <= 1) {
-    if (n != 0) body(0, n, 0);
+    if (n != 0) body(0, n);
     return;
   }
   ThreadPool::global().run(n, threads, body);

@@ -1,42 +1,31 @@
 // Fixed thread pool + deterministic parallel_for.
 //
-// The solver hot path (Algorithm 1) is embarrassingly parallel: every
-// column of the R-update and every row of the L-update solves its own
-// independent r x r normal-equation system and writes its own output row.
-// This subsystem exploits that with the *strongest* determinism guarantee:
+// One parallelism grain: independent work items — the sites of an
+// Engine::update_batch, the measurements of a localize_batch, and the
+// candidate / per-axis fits of the RASS baseline.  A single solve (the
+// Algorithm-1 sweep, the LRR ADMM, QRCP) is paper-sized (6-8 links x
+// 72-120 cells) and runs serially: fan-out inside it measured as a net
+// loss at that size.
 //
 //   parallel_for(threads, n, body) produces bit-identical results for any
 //   thread count, because the iteration space is split into contiguous
 //   chunks by pure integer arithmetic (chunk_range), each index is
-//   processed by exactly one chunk, and no floating-point reduction is
-//   ever reordered — bodies only write state they exclusively own
-//   (their output rows and their per-slot workspace).
+//   processed by exactly one chunk, and bodies only write state their
+//   indices exclusively own — no floating-point reduction crosses an index.
 //
 // Scheduling model:
-//   * One process-wide pool (global_pool()) lazily spawns its workers on
-//     first use; parallel_for borrows it, so solvers never pay thread
-//     creation per sweep.
+//   * One process-wide pool (ThreadPool::global()) lazily spawns its workers on
+//     first use; parallel_for borrows it, so callers never pay thread
+//     creation per batch.
 //   * The calling thread participates: it executes chunk 0, then helps
 //     drain its own batch's still-queued chunks (never another batch's —
 //     a caller holding a lock must not execute foreign work), then waits.
 //     The pool therefore makes progress even with zero workers
 //     (single-core machines) and is never a deadlock hazard.
-//   * Budgeted nesting: a parallel_for from inside a chunk submits its
-//     chunks to the shared queue (one nested level deep), so idle workers
-//     flow into the nested fan-outs — an update_batch with fewer site
-//     chains than pool threads feeds its surplus threads to the chains'
-//     solver/LRR sweeps instead of pinning each chain to one thread.
-//     Deeper nesting degrades to sequential chunk execution on the
-//     calling thread.  Either way: same chunks, same slots, same results,
-//     no deadlock (every nested caller drains its own still-queued chunks
-//     before blocking, and nesting bottoms out at the depth cap).
-//
-// Consumers beyond the solver: the serving layer (src/serve/) fans its
-// batched localize panels out through the same parallel_for — the
-// "bodies only write state they exclusively own" rule is what lets a
-// ServeFront leader compute a whole batch against immutable published
-// bundles with no extra synchronization, and the deterministic chunking
-// is why batching changes scheduling but never bits.
+//   * A parallel_for called from inside a pool chunk runs its whole range
+//     inline on that thread.  The only nesting in the library is
+//     update_batch (sites) -> RASS per-axis fits under
+//     LocalizerKind::kRass; the outer fan-out already occupies the pool.
 #pragma once
 
 #include <cstddef>
@@ -45,11 +34,8 @@
 
 namespace iup::parallel {
 
-/// Body of a parallel loop: process indices [begin, end).  `slot` is the
-/// chunk index in [0, ways) — stable across thread counts and runs, so it
-/// can index per-chunk scratch workspaces.
-using ChunkBody =
-    std::function<void(std::size_t begin, std::size_t end, std::size_t slot)>;
+/// Body of a parallel loop: process indices [begin, end).
+using ChunkBody = std::function<void(std::size_t begin, std::size_t end)>;
 
 /// Deterministic static partition: the half-open index range of chunk `c`
 /// when [0, n) is split `ways` ways.  Chunks are contiguous, cover [0, n)
@@ -75,11 +61,11 @@ class ThreadPool {
   std::size_t workers() const;
 
   /// Split [0, n) into min(ways, n) chunks and invoke `body` once per
-  /// chunk.  Blocks until every chunk has finished.  Safe to call from a
-  /// worker thread (runs the chunks sequentially in that case).  If one
-  /// or more chunks throw, the remaining chunks still run to completion
-  /// and the first exception is rethrown on the calling thread — a body
-  /// exception never escapes a worker or aborts the process.
+  /// chunk.  Blocks until every chunk has finished.  Called from inside a
+  /// pool chunk it runs `body(0, n)` inline.  If one or more chunks
+  /// throw, the remaining chunks still run to completion and the first
+  /// exception is rethrown on the calling thread — a body exception never
+  /// escapes a worker or aborts the process.
   void run(std::size_t n, std::size_t ways, const ChunkBody& body);
 
   /// The process-wide pool used by parallel_for, sized for the hardware.

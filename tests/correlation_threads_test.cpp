@@ -1,19 +1,11 @@
-// Thread-count invariance of the correlation pipeline (MIC + LRR) and the
-// engine's versioned warm-start factor cache.
-//
-// The MIC column scoring and the LRR ADMM fan-out carry the same guarantee
-// as the solver sweep: 1 thread and N threads produce bit-identical
-// results, because every column owns its output slice and no floating-
-// point reduction depends on the chunk partition.  These tests compare
-// exact (operator==) equality, not tolerances — mirroring
-// solver_threads_test.cpp.
+// The engine's versioned warm-start caches: the solver factor (L0) and
+// the LRR ADMM state of the correlation refresh.  Exact (operator==)
+// comparisons wherever the cache must not change a single bit.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "api/engine.hpp"
-#include "core/lrr.hpp"
-#include "core/mic.hpp"
 #include "core/self_augmented.hpp"
 #include "eval/experiment.hpp"
 #include "linalg/norms.hpp"
@@ -21,63 +13,6 @@
 
 namespace iup {
 namespace {
-
-TEST(MicThreadInvariance, BitIdenticalAcrossThreadCounts) {
-  const auto& x = test::office_run().ground_truth.at_day(0);
-  const auto base = core::extract_mic(x, core::MicStrategy::kQrcp,
-                                      core::kMicDefaultRelTol, 1);
-  ASSERT_GT(base.rank, 0u);
-  for (const std::size_t threads : {2u, 3u, 8u, 0u /* auto */}) {
-    const auto other = core::extract_mic(
-        x, core::MicStrategy::kQrcp, core::kMicDefaultRelTol, threads);
-    EXPECT_EQ(other.reference_cells, base.reference_cells)
-        << threads << " threads";
-    EXPECT_EQ(other.x_mic, base.x_mic) << threads << " threads";
-    EXPECT_EQ(other.rank, base.rank) << threads << " threads";
-  }
-}
-
-TEST(MicThreadInvariance, SyntheticLowRankKeepsRankAtAnyThreadCount) {
-  rng::Rng rng(71);
-  const auto x = test::random_low_rank(6, 40, 4, rng);
-  const auto base = core::extract_mic(x, core::MicStrategy::kQrcp,
-                                      core::kMicDefaultRelTol, 1);
-  const auto par = core::extract_mic(x, core::MicStrategy::kQrcp,
-                                     core::kMicDefaultRelTol, 8);
-  EXPECT_EQ(base.rank, 4u);
-  EXPECT_EQ(par.reference_cells, base.reference_cells);
-  EXPECT_EQ(par.x_mic, base.x_mic);
-}
-
-TEST(LrrThreadInvariance, BitIdenticalAcrossThreadCounts) {
-  const auto& x = test::office_run().ground_truth.at_day(0);
-  const auto mic = core::extract_mic(x);
-  core::LrrOptions options;
-  options.threads = 1;
-  const auto base = core::solve_lrr(mic.x_mic, x, options);
-  ASSERT_GT(base.iterations, 0u);
-  for (const std::size_t threads : {2u, 3u, 8u, 0u /* auto */}) {
-    options.threads = threads;
-    const auto other = core::solve_lrr(mic.x_mic, x, options);
-    EXPECT_EQ(other.z, base.z) << threads << " threads";
-    EXPECT_EQ(other.e, base.e) << threads << " threads";
-    EXPECT_EQ(other.iterations, base.iterations) << threads << " threads";
-    EXPECT_EQ(other.residual, base.residual) << threads << " threads";
-    EXPECT_EQ(other.converged, base.converged) << threads << " threads";
-  }
-}
-
-TEST(LrrThreadInvariance, ParallelSolveStillPredictsHeldOutColumns) {
-  // Quality guard: the rewritten (parallel, Gram-side SVT) solver must
-  // keep the correlation property the pipeline relies on (cf.
-  // core_mic_lrr_test's serial variant).
-  const auto& x0 = test::office_run().ground_truth.at_day(0);
-  const auto mic = core::extract_mic(x0);
-  core::LrrOptions options;
-  options.threads = 8;
-  const auto lrr = core::solve_lrr(mic.x_mic, x0, options);
-  EXPECT_LT(linalg::relative_error(mic.x_mic * lrr.z, x0), 0.05);
-}
 
 TEST(SolverWarmStart, ExplicitL0ReproducesDefaultInitialisationExactly) {
   // Passing the solver's own initial factor through RsvdProblem::l0 must
@@ -196,59 +131,6 @@ TEST(EngineWarmStartCache, BackendThatIgnoresL0NeverCaches) {
       engine.update(eval::collect_update_request(run, "office", cells, 15));
   ASSERT_TRUE(r1.ok()) << r1.status().to_string();
   EXPECT_FALSE(engine.warm_start_version("office").has_value());
-}
-
-TEST(EngineWarmStartCache, WarmAndColdChainsStayThreadInvariant) {
-  // The headline guarantee survives the cache: a serial and a parallel
-  // engine evolve identical caches and produce bit-identical chains.
-  const auto& run = test::office_run();
-  api::Engine serial(api::EngineConfig().threads(1));
-  api::Engine parallel(api::EngineConfig().threads(8));
-  ASSERT_TRUE(eval::register_run(serial, run, "office").ok());
-  ASSERT_TRUE(eval::register_run(parallel, run, "office").ok());
-  const auto cells = serial.reference_cells("office").value();
-
-  for (const std::size_t day : {15u, 45u, 90u}) {
-    const auto request =
-        eval::collect_update_request(run, "office", cells, day);
-    const auto a = serial.update(request);
-    const auto b = parallel.update(request);
-    ASSERT_TRUE(a.ok()) << a.status().to_string();
-    ASSERT_TRUE(b.ok()) << b.status().to_string();
-    EXPECT_EQ(b.value().x_hat(), a.value().x_hat()) << "day " << day;
-    EXPECT_EQ(b.value().snapshot->correlation(),
-              a.value().snapshot->correlation())
-        << "day " << day;
-  }
-}
-
-TEST(LrrThreadInvariance, WarmRestartBitIdenticalAcrossThreadCounts) {
-  // The warm ADMM path carries the same guarantee as the cold one: the
-  // resumed multipliers / adaptive mu schedule never reorder a reduction
-  // across the chunk partition.
-  const auto& run = test::office_run();
-  const auto& x0 = run.ground_truth.at_day(0);
-  const auto& x1 = run.ground_truth.at_day(45);
-  const auto mic = core::extract_mic(x0);
-  core::LrrOptions options;
-  const auto cold = core::solve_lrr(mic.x_mic, x0, options);
-
-  core::LrrWarmStart warm;
-  warm.z = cold.z;
-  warm.y1 = cold.y1;
-  warm.y2 = cold.y2;
-  warm.mu = cold.mu_final;
-  const auto mic1 = core::mic_from_cells(x1, mic.reference_cells);
-  options.threads = 1;
-  const auto base = core::solve_lrr(mic1.x_mic, x1, options, &warm);
-  for (const std::size_t threads : {2u, 8u, 0u /* auto */}) {
-    options.threads = threads;
-    const auto other = core::solve_lrr(mic1.x_mic, x1, options, &warm);
-    EXPECT_EQ(other.z, base.z) << threads << " threads";
-    EXPECT_EQ(other.y1, base.y1) << threads << " threads";
-    EXPECT_EQ(other.y2, base.y2) << threads << " threads";
-    EXPECT_EQ(other.iterations, base.iterations) << threads << " threads";
-  }
 }
 
 TEST(EngineLrrWarmCache, SeededAtRegistrationAndTrackedAcrossCommits) {

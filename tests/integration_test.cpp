@@ -6,7 +6,7 @@
 
 #include "api/engine.hpp"
 #include "baselines/traditional.hpp"
-#include "core/updater.hpp"
+#include "core/self_augmented.hpp"
 #include "eval/experiment.hpp"
 #include "test_util.hpp"
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "linalg/matrix_io.hpp"
 #include "linalg/norms.hpp"
 #include "test_util.hpp"
 
@@ -40,34 +39,6 @@ TEST(Norms, RelativeError) {
   const Matrix b{{1.0}};
   EXPECT_DOUBLE_EQ(relative_error(a, b), 1.0);
   EXPECT_DOUBLE_EQ(relative_error(b, b), 0.0);
-}
-
-TEST(MatrixIo, ToStringContainsValues) {
-  const Matrix a{{1.25, -2.0}};
-  const std::string s = to_string(a, 2);
-  EXPECT_NE(s.find("1.25"), std::string::npos);
-  EXPECT_NE(s.find("-2.00"), std::string::npos);
-}
-
-TEST(MatrixIo, CsvRoundTrip) {
-  rng::Rng rng(32);
-  const Matrix a = iup::test::random_matrix(4, 6, rng);
-  const Matrix back = from_csv(to_csv(a));
-  iup::test::expect_matrix_near(back, a, 1e-8);
-}
-
-TEST(MatrixIo, FromCsvRejectsRagged) {
-  EXPECT_THROW((void)from_csv("1,2\n3\n"), std::invalid_argument);
-}
-
-TEST(MatrixIo, FromCsvRejectsGarbage) {
-  EXPECT_THROW((void)from_csv("1,banana\n"), std::invalid_argument);
-}
-
-TEST(MatrixIo, FromCsvSkipsBlankLines) {
-  const Matrix m = from_csv("1,2\n\n3,4\n");
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
 }
 
 }  // namespace

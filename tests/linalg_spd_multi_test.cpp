@@ -2,7 +2,7 @@
 // bit-identical, column for column, to the single-RHS solve_factored_spd
 // loop it replaces (the contract in linalg/cholesky.hpp), and the
 // mask-grouped Algorithm-1 sweep built on it must be bit-identical to the
-// ungrouped sweep at every thread count.  All comparisons here are exact
+// ungrouped sweep.  All comparisons here are exact
 // (operator==), never tolerances — the CI matrix runs this suite at every
 // kernel dispatch level (scalar, AVX2, AVX-512).
 #include <gtest/gtest.h>
@@ -148,12 +148,10 @@ core::RsvdProblem structured_problem(const core::BandLayout& layout,
 
 core::RsvdResult solve_grouped(const core::RsvdProblem& problem,
                                const core::BandLayout& layout, bool grouped,
-                               std::size_t threads,
                                bool constraint2 = true) {
   core::RsvdOptions options;
   options.max_iters = 6;
   options.group_masks = grouped;
-  options.threads = threads;
   options.use_constraint2 = constraint2;
   return core::SelfAugmentedRsvd(layout, options).solve(problem);
 }
@@ -163,8 +161,8 @@ TEST(MaskGroupedSweep, GroupedBitIdenticalToUngrouped) {
   const core::BandLayout layout{8, 12};
   const core::RsvdProblem problem = structured_problem(layout, rng);
 
-  const core::RsvdResult plain = solve_grouped(problem, layout, false, 1);
-  const core::RsvdResult grouped = solve_grouped(problem, layout, true, 1);
+  const core::RsvdResult plain = solve_grouped(problem, layout, false);
+  const core::RsvdResult grouped = solve_grouped(problem, layout, true);
   ASSERT_GT(grouped.mask_groups, 0u);
   ASSERT_GT(grouped.grouped_columns, grouped.mask_groups);
   EXPECT_EQ(plain.mask_groups, 0u);  // knob off => no grouping ran
@@ -172,23 +170,6 @@ TEST(MaskGroupedSweep, GroupedBitIdenticalToUngrouped) {
   EXPECT_EQ(grouped.r, plain.r);
   EXPECT_EQ(grouped.x_hat, plain.x_hat);
   EXPECT_EQ(grouped.objective_history, plain.objective_history);
-}
-
-TEST(MaskGroupedSweep, GroupedBitIdenticalAcrossThreadCounts) {
-  rng::Rng rng(306);
-  const core::BandLayout layout{8, 12};
-  const core::RsvdProblem problem = structured_problem(layout, rng);
-
-  const core::RsvdResult base = solve_grouped(problem, layout, true, 1);
-  for (const std::size_t threads : {2u, 3u, 8u, 0u /* auto */}) {
-    const core::RsvdResult other =
-        solve_grouped(problem, layout, true, threads);
-    EXPECT_EQ(other.l, base.l) << threads << " threads";
-    EXPECT_EQ(other.r, base.r) << threads << " threads";
-    EXPECT_EQ(other.x_hat, base.x_hat) << threads << " threads";
-    EXPECT_EQ(other.objective_history, base.objective_history);
-    EXPECT_EQ(other.mask_groups, base.mask_groups);
-  }
 }
 
 TEST(MaskGroupedSweep, RowGroupingWithoutConstraint2MatchesUngrouped) {
@@ -199,9 +180,9 @@ TEST(MaskGroupedSweep, RowGroupingWithoutConstraint2MatchesUngrouped) {
   const core::RsvdProblem problem = structured_problem(layout, rng);
 
   const core::RsvdResult plain =
-      solve_grouped(problem, layout, false, 1, /*constraint2=*/false);
+      solve_grouped(problem, layout, false, /*constraint2=*/false);
   const core::RsvdResult grouped =
-      solve_grouped(problem, layout, true, 4, /*constraint2=*/false);
+      solve_grouped(problem, layout, true, /*constraint2=*/false);
   EXPECT_EQ(grouped.l, plain.l);
   EXPECT_EQ(grouped.r, plain.r);
   EXPECT_EQ(grouped.x_hat, plain.x_hat);
@@ -221,7 +202,6 @@ TEST(MaskGroupedSweep, PaperLiteralModeGroupedMatchesUngrouped) {
   options.group_masks = false;
   const auto plain = core::SelfAugmentedRsvd(layout, options).solve(problem);
   options.group_masks = true;
-  options.threads = 4;
   const auto grouped =
       core::SelfAugmentedRsvd(layout, options).solve(problem);
   ASSERT_GT(grouped.mask_groups, 0u);
@@ -265,9 +245,9 @@ TEST(MaskGroupedSweep, FusedRhsSharedWalkExtremes) {
       }
 
       const core::RsvdResult plain =
-          solve_grouped(problem, layout, false, 1, /*constraint2=*/false);
+          solve_grouped(problem, layout, false, /*constraint2=*/false);
       const core::RsvdResult grouped =
-          solve_grouped(problem, layout, true, 3, /*constraint2=*/false);
+          solve_grouped(problem, layout, true, /*constraint2=*/false);
       ASSERT_GT(grouped.mask_groups, 0u)
           << "obs=" << observed_fraction << " c1=" << with_c1;
       EXPECT_EQ(grouped.grouped_columns, n);  // one signature, all columns

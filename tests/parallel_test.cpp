@@ -48,46 +48,28 @@ TEST(ResolveThreads, ZeroMeansHardwareAndNeverZero) {
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   const std::size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  parallel_for(8, n, [&](std::size_t begin, std::size_t end, std::size_t) {
+  parallel_for(8, n, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) hits[i]++;
   });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(ParallelFor, SlotsAreStableAndInRange) {
-  const std::size_t n = 57;
-  const std::size_t threads = 8;
-  std::vector<std::size_t> slot_of(n, threads);
-  parallel_for(threads, n,
-               [&](std::size_t begin, std::size_t end, std::size_t slot) {
-                 for (std::size_t i = begin; i < end; ++i) slot_of[i] = slot;
-               });
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_LT(slot_of[i], threads);
-    // The slot must be the chunk index the static partition assigns.
-    const auto [begin, end] = chunk_range(n, threads, slot_of[i]);
-    EXPECT_GE(i, begin);
-    EXPECT_LT(i, end);
-  }
-}
-
 TEST(ParallelFor, SerialAndEmptyEdgeCases) {
   int calls = 0;
-  parallel_for(1, 10, [&](std::size_t begin, std::size_t end, std::size_t s) {
+  parallel_for(1, 10, [&](std::size_t begin, std::size_t end) {
     EXPECT_EQ(begin, 0u);
     EXPECT_EQ(end, 10u);
-    EXPECT_EQ(s, 0u);
     calls++;
   });
   EXPECT_EQ(calls, 1);
-  parallel_for(8, 0, [&](std::size_t, std::size_t, std::size_t) { calls++; });
+  parallel_for(8, 0, [&](std::size_t, std::size_t) { calls++; });
   EXPECT_EQ(calls, 1) << "n == 0 must not invoke the body";
 }
 
 TEST(ParallelFor, MoreWaysThanIndicesClampsToN) {
   std::vector<std::atomic<int>> hits(3);
   std::atomic<int> chunks{0};
-  parallel_for(16, 3, [&](std::size_t begin, std::size_t end, std::size_t) {
+  parallel_for(16, 3, [&](std::size_t begin, std::size_t end) {
     chunks++;
     for (std::size_t i = begin; i < end; ++i) hits[i]++;
   });
@@ -95,78 +77,23 @@ TEST(ParallelFor, MoreWaysThanIndicesClampsToN) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelFor, NestedCallsKeepPartitionAndCoverage) {
-  // Budgeted nesting: a nested fan-out submits to the shared pool (so
-  // surplus workers can help), with the same (n, ways) partition and the
-  // same slots as the sequential degrade — and it must never deadlock,
-  // including when every outer chunk nests at once.
+TEST(ParallelFor, NestedCallCompletesAndVisitsEveryIndexOnce) {
+  // The update_batch -> RASS per-axis shape: a parallel_for inside a pool
+  // chunk runs its whole range inline, so it completes even when every
+  // outer chunk nests at once.
   const std::size_t outer = 4, inner = 20;
   std::vector<std::atomic<int>> hits(outer * inner);
-  parallel_for(4, outer, [&](std::size_t ob, std::size_t oe, std::size_t) {
+  std::atomic<int> inner_chunks{0};
+  parallel_for(4, outer, [&](std::size_t ob, std::size_t oe) {
     for (std::size_t o = ob; o < oe; ++o) {
-      parallel_for(4, inner,
-                   [&](std::size_t ib, std::size_t ie, std::size_t slot) {
-                     EXPECT_LT(slot, 4u);
-                     for (std::size_t i = ib; i < ie; ++i) {
-                       hits[o * inner + i]++;
-                     }
-                   });
-    }
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, TripleNestingDegradesPastTheBudgetAndCompletes) {
-  // Depth 0 and 1 submit to the pool; depth 2 runs inline.  Whatever the
-  // scheduling, every leaf index is visited exactly once.
-  const std::size_t a = 3, b = 4, c = 5;
-  std::vector<std::atomic<int>> hits(a * b * c);
-  parallel_for(8, a, [&](std::size_t ab, std::size_t ae, std::size_t) {
-    for (std::size_t i = ab; i < ae; ++i) {
-      parallel_for(8, b, [&](std::size_t bb, std::size_t be, std::size_t) {
-        for (std::size_t j = bb; j < be; ++j) {
-          parallel_for(8, c,
-                       [&](std::size_t cb, std::size_t ce, std::size_t) {
-                         for (std::size_t k = cb; k < ce; ++k) {
-                           hits[(i * b + j) * c + k]++;
-                         }
-                       });
-        }
+      parallel_for(4, inner, [&](std::size_t ib, std::size_t ie) {
+        inner_chunks++;
+        for (std::size_t i = ib; i < ie; ++i) hits[o * inner + i]++;
       });
     }
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, NestedDeterministicAcrossThreadCounts) {
-  // The engine's update_batch shape: few outer chains, per-chain inner
-  // fan-outs.  Outputs must be bit-identical whether the inner loops get
-  // surplus workers (outer threads > chains) or run serially.
-  const std::size_t chains = 2, n = 64;
-  const auto run = [&](std::size_t outer_threads, std::size_t inner_threads) {
-    std::vector<double> out(chains * n);
-    parallel_for(outer_threads, chains,
-                 [&](std::size_t ob, std::size_t oe, std::size_t) {
-                   for (std::size_t o = ob; o < oe; ++o) {
-                     parallel_for(inner_threads, n,
-                                  [&](std::size_t ib, std::size_t ie,
-                                      std::size_t) {
-                                    for (std::size_t i = ib; i < ie; ++i) {
-                                      double acc = 0.0;
-                                      for (std::size_t k = 0; k <= i; ++k) {
-                                        acc += 1.0 / double(k + 1 + o);
-                                      }
-                                      out[o * n + i] = acc;
-                                    }
-                                  });
-                   }
-                 });
-    return out;
-  };
-  const auto serial = run(1, 1);
-  EXPECT_EQ(run(8, 8), serial);
-  EXPECT_EQ(run(2, 4), serial);
-  EXPECT_EQ(run(8, 1), serial);
+  EXPECT_EQ(inner_chunks.load(), static_cast<int>(outer));
 }
 
 TEST(ParallelFor, DeterministicSumViaExclusiveSlots) {
@@ -175,7 +102,7 @@ TEST(ParallelFor, DeterministicSumViaExclusiveSlots) {
   const std::size_t n = 512;
   std::vector<double> out1(n), out8(n);
   const auto body = [](std::vector<double>& out) {
-    return [&out](std::size_t begin, std::size_t end, std::size_t) {
+    return [&out](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
         double acc = 0.0;
         for (std::size_t k = 0; k <= i; ++k) acc += 1.0 / double(k + 1);
@@ -193,7 +120,7 @@ TEST(ThreadPool, DedicatedPoolRunsAndJoins) {
   EXPECT_EQ(pool.workers(), 3u);
   std::atomic<int> total{0};
   for (int round = 0; round < 10; ++round) {
-    pool.run(100, 4, [&](std::size_t begin, std::size_t end, std::size_t) {
+    pool.run(100, 4, [&](std::size_t begin, std::size_t end) {
       total += static_cast<int>(end - begin);
     });
   }

@@ -1,5 +1,5 @@
 // The serving layer: RCU bundle publication, the zero-locks read-path
-// contract, evict-while-read safety and the ServeFront batching front.
+// contract and evict-while-read safety.
 //
 // The concurrency tests here are the machine check behind the claims in
 // serve/shard.hpp: they run N reader threads against M background updates
@@ -16,7 +16,6 @@
 
 #include "api/engine.hpp"
 #include "eval/experiment.hpp"
-#include "serve/front.hpp"
 #include "serve/shard.hpp"
 #include "sim/sampler.hpp"
 #include "test_util.hpp"
@@ -296,76 +295,6 @@ TEST(ServeConcurrency, RegistryChurnDoesNotDisturbReaders) {
   churn.join();
   EXPECT_GT(reads, 0u);
   EXPECT_EQ(engine.published("churn").status().code(), StatusCode::kNotFound);
-}
-
-TEST(ServeFrontTest, MatchesDirectLocalizeAndValidates) {
-  const auto& run = iup::test::office_run();
-  Engine engine = office_engine(run);
-  serve::ServeFrontOptions options;
-  options.max_batch = 4;
-  options.max_wait = std::chrono::microseconds(50);
-  serve::ServeFront front(engine.shards(), options);
-
-  const auto queries = office_queries(run, 6, "serve-front");
-  for (const auto& query : queries) {
-    const auto direct = engine.localize("office", query);
-    const auto batched = front.localize("office", query);
-    ASSERT_TRUE(direct.ok());
-    ASSERT_TRUE(batched.ok()) << batched.status().to_string();
-    EXPECT_EQ(batched.value().cell, direct.value().cell);
-    EXPECT_EQ(batched.value().score, direct.value().score);
-  }
-  EXPECT_EQ(front.total_requests(), queries.size());
-  EXPECT_GE(front.total_batches(), 1u);
-
-  EXPECT_EQ(front.localize("nope", queries[0]).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(front.localize("office", std::vector<double>(3)).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-// Concurrent callers through the front coalesce into shared batches, and
-// every caller still gets exactly the result of a direct serial localize
-// — batching changes scheduling, never bits, regardless of arrival order.
-TEST(ServeFrontTest, ConcurrentCallersGetOrderIndependentResults) {
-  const auto& run = iup::test::office_run();
-  Engine engine = office_engine(run);
-  serve::ServeFrontOptions options;
-  options.max_batch = 8;
-  options.max_wait = std::chrono::microseconds(500);
-  serve::ServeFront front(engine.shards(), options);
-
-  const auto queries = office_queries(run, 8, "serve-front-mt");
-  std::vector<loc::LocalizationEstimate> expected;
-  for (const auto& query : queries) {
-    expected.push_back(engine.localize("office", query).value());
-  }
-
-  constexpr std::size_t kCallers = 4;
-  constexpr std::size_t kCallsEach = 12;
-  std::vector<std::thread> callers;
-  std::vector<std::size_t> mismatches(kCallers, 0);
-  for (std::size_t t = 0; t < kCallers; ++t) {
-    callers.emplace_back([&, t] {
-      for (std::size_t k = 0; k < kCallsEach; ++k) {
-        // Different interleaving per caller: arrival order inside each
-        // coalesced batch varies run to run.
-        const std::size_t q = (t * 5 + k * 3) % queries.size();
-        const auto result = front.localize("office", queries[q]);
-        if (!result.ok() || result.value().cell != expected[q].cell ||
-            result.value().score != expected[q].score) {
-          ++mismatches[t];
-        }
-      }
-    });
-  }
-  for (std::thread& caller : callers) caller.join();
-  for (std::size_t t = 0; t < kCallers; ++t) {
-    EXPECT_EQ(mismatches[t], 0u) << "caller " << t;
-  }
-  EXPECT_EQ(front.total_requests(), kCallers * kCallsEach);
-  EXPECT_LE(front.total_batches(), front.total_requests());
-  EXPECT_GE(front.largest_batch(), 1u);
 }
 
 TEST(ServeReadPath, ScopeNestsAndReportsState) {

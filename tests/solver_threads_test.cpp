@@ -1,101 +1,20 @@
-// Thread-count invariance: the headline guarantee of the parallel sweep is
-// that 1 thread and N threads produce bit-identical results — every
-// column/row owns its output slot and no floating-point reduction is ever
-// reordered.  These tests compare exact (operator==) equality, not
-// tolerances.
+// Thread-count invariance of the engine's one parallelism grain:
+// EngineConfig::threads(n) runs independent work items at once (sites in
+// update_batch, measurements in localize_batch, and under kRass the
+// per-axis SVR fits nested inside each site's update), and 1 thread and N
+// threads must produce bit-identical results.  These tests compare exact
+// (operator==) equality, not tolerances.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "api/engine.hpp"
-#include "core/self_augmented.hpp"
 #include "eval/experiment.hpp"
 #include "test_util.hpp"
 
 namespace iup {
 namespace {
-
-core::RsvdProblem synthetic_problem(const core::BandLayout& layout,
-                                    rng::Rng& rng) {
-  const std::size_t m = layout.links;
-  const std::size_t n = layout.num_cells();
-  const linalg::Matrix x_full = test::random_low_rank(m, n, 4, rng);
-  core::RsvdProblem problem;
-  problem.b = linalg::Matrix(m, n);
-  for (double& v : problem.b.data()) v = rng.uniform() < 0.8 ? 1.0 : 0.0;
-  problem.x_b = problem.b.hadamard(x_full);
-  problem.p = x_full;
-  for (double& v : problem.p.data()) v += rng.normal(0.0, 0.01);
-  return problem;
-}
-
-core::RsvdResult solve_with_threads(const core::RsvdProblem& problem,
-                                    const core::BandLayout& layout,
-                                    std::size_t threads) {
-  core::RsvdOptions options;
-  options.max_iters = 8;
-  options.threads = threads;
-  const core::SelfAugmentedRsvd solver(layout, options);
-  return solver.solve(problem);
-}
-
-TEST(SolverThreadInvariance, BitIdenticalAcrossThreadCounts) {
-  rng::Rng rng(42);
-  const core::BandLayout layout{8, 12};
-  const core::RsvdProblem problem = synthetic_problem(layout, rng);
-
-  const core::RsvdResult base = solve_with_threads(problem, layout, 1);
-  ASSERT_GT(base.iterations, 0u);
-  for (const std::size_t threads : {2u, 3u, 8u, 0u /* auto */}) {
-    const core::RsvdResult other =
-        solve_with_threads(problem, layout, threads);
-    EXPECT_EQ(other.l, base.l) << threads << " threads";
-    EXPECT_EQ(other.r, base.r) << threads << " threads";
-    EXPECT_EQ(other.x_hat, base.x_hat) << threads << " threads";
-    EXPECT_EQ(other.objective_history, base.objective_history);
-    EXPECT_EQ(other.iterations, base.iterations);
-  }
-}
-
-TEST(SolverThreadInvariance, PaperLiteralModeToo) {
-  rng::Rng rng(43);
-  const core::BandLayout layout{8, 12};
-  const core::RsvdProblem problem = synthetic_problem(layout, rng);
-  core::RsvdOptions options;
-  options.max_iters = 5;
-  options.c2_mode = core::Constraint2Mode::kPaperLiteral;
-
-  options.threads = 1;
-  const auto base = core::SelfAugmentedRsvd(layout, options).solve(problem);
-  options.threads = 8;
-  const auto par = core::SelfAugmentedRsvd(layout, options).solve(problem);
-  EXPECT_EQ(par.l, base.l);
-  EXPECT_EQ(par.r, base.r);
-  EXPECT_EQ(par.x_hat, base.x_hat);
-}
-
-TEST(EngineThreadInvariance, UpdateResultBitIdenticalOnOfficeTestbed) {
-  const auto& run = test::office_run();
-
-  api::Engine serial(api::EngineConfig().threads(1));
-  api::Engine parallel(api::EngineConfig().threads(8));
-  ASSERT_TRUE(eval::register_run(serial, run, "office").ok());
-  ASSERT_TRUE(eval::register_run(parallel, run, "office").ok());
-
-  const auto cells = serial.reference_cells("office").value();
-  ASSERT_EQ(cells, parallel.reference_cells("office").value());
-  const auto request = eval::collect_update_request(run, "office", cells, 45);
-
-  const auto serial_result = serial.update(request);
-  const auto parallel_result = parallel.update(request);
-  ASSERT_TRUE(serial_result.ok()) << serial_result.status().to_string();
-  ASSERT_TRUE(parallel_result.ok()) << parallel_result.status().to_string();
-  EXPECT_EQ(parallel_result.value().x_hat(), serial_result.value().x_hat());
-  EXPECT_EQ(parallel_result.value().solver.objective_history,
-            serial_result.value().solver.objective_history);
-  EXPECT_EQ(parallel_result.value().committed_version,
-            serial_result.value().committed_version);
-}
 
 TEST(EngineThreadInvariance, MultiSiteUpdateBatchMatchesSequential) {
   const auto& run = test::office_run();
@@ -166,6 +85,59 @@ TEST(EngineThreadInvariance, LocalizeBatchMatchesSequential) {
               serial_estimates.value()[k].cell);
     EXPECT_EQ(parallel_estimates.value()[k].score,
               serial_estimates.value()[k].score);
+  }
+}
+
+TEST(EngineThreadInvariance, RassUpdateBatchMatchesSequential) {
+  // The one nested fan-out: update_batch across sites, and inside each
+  // site's commit the kRass localizer build fans its per-axis fits out
+  // (run inline under the outer fan-out).
+  const auto& run = test::office_run();
+  const auto config = [](std::size_t threads) {
+    return api::EngineConfig()
+        .localizer(api::LocalizerKind::kRass)
+        .threads(threads);
+  };
+  api::Engine serial(config(1));
+  api::Engine parallel(config(4));
+  const std::vector<std::string> sites = {"north", "south"};
+  for (const std::string& site : sites) {
+    ASSERT_TRUE(eval::register_run(serial, run, site).ok());
+    ASSERT_TRUE(eval::register_run(parallel, run, site).ok());
+  }
+  const auto cells = serial.reference_cells("north").value();
+
+  std::vector<api::UpdateRequest> requests;
+  for (const std::size_t day : {15u, 45u}) {
+    for (const std::string& site : sites) {
+      requests.push_back(eval::collect_update_request(run, site, cells, day));
+    }
+  }
+  const auto serial_results = serial.update_batch(requests);
+  const auto parallel_results = parallel.update_batch(requests);
+  ASSERT_EQ(parallel_results.size(), serial_results.size());
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    ASSERT_TRUE(serial_results[k].ok())
+        << serial_results[k].status().to_string();
+    ASSERT_TRUE(parallel_results[k].ok())
+        << parallel_results[k].status().to_string();
+    const auto& a = *serial_results[k].value().snapshot;
+    const auto& b = *parallel_results[k].value().snapshot;
+    EXPECT_EQ(b.version(), a.version()) << "request " << k;
+    EXPECT_EQ(b.database(), a.database()) << "request " << k;
+    EXPECT_EQ(b.correlation(), a.correlation()) << "request " << k;
+  }
+
+  const auto& x = run.ground_truth.at_day(45);
+  for (const std::string& site : sites) {
+    for (std::size_t j = 0; j < x.cols(); j += 5) {
+      const auto a = serial.localize(site, x.col(j));
+      const auto b = parallel.localize(site, x.col(j));
+      ASSERT_TRUE(a.ok()) << a.status().to_string();
+      ASSERT_TRUE(b.ok()) << b.status().to_string();
+      EXPECT_EQ(b.value().cell, a.value().cell) << site << " cell " << j;
+      EXPECT_EQ(b.value().score, a.value().score) << site << " cell " << j;
+    }
   }
 }
 

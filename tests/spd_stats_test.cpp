@@ -41,8 +41,7 @@ TEST(SpdStats, CountersAreExactUnderPoolConcurrency) {
   reset_spd_stats();
 
   parallel::parallel_for(
-      kThreads, kSolves,
-      [](std::size_t begin, std::size_t end, std::size_t) {
+      kThreads, kSolves, [](std::size_t begin, std::size_t end) {
         std::vector<double> bx(4, 1.0);
         std::vector<double> diag(4);
         for (std::size_t k = begin; k < end; ++k) {
@@ -64,8 +63,7 @@ TEST(SpdStats, BumpRecoveriesAreExactUnderPoolConcurrency) {
   reset_spd_stats();
 
   parallel::parallel_for(
-      kThreads, kSolves,
-      [](std::size_t begin, std::size_t end, std::size_t) {
+      kThreads, kSolves, [](std::size_t begin, std::size_t end) {
         std::vector<double> bx(4, 1.0);
         std::vector<double> diag(4);
         for (std::size_t k = begin; k < end; ++k) {
