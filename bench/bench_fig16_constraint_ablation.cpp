@@ -2,9 +2,11 @@
 // Constraint 2 (continuity + similarity) to the basic RSVD reduces the
 // reconstruction error step by step.
 //
-// Extension ablations beyond the paper (DESIGN.md Sec. 7): the published
-// per-column curvature ("literal") vs. our Gauss-Seidel repair, and the
-// G-matrix midpoint redefinition on/off.
+// Extension ablations beyond the paper (see the repair comment at the top
+// of core/self_augmented.cpp and the README's "Repairs to the published
+// Algorithm 1"): the published per-column curvature ("literal") vs. our
+// Gauss-Seidel repair, and the G-matrix midpoint redefinition
+// (core/constraints.hpp) on/off.
 #include "bench_common.hpp"
 
 #include "core/constraints.hpp"

@@ -419,6 +419,89 @@ void BM_Recover(benchmark::State& state) {
 }
 BENCHMARK(BM_Recover);
 
+// --- Lane-batched sweep additions, appended last per the code-layout note
+// above.
+
+// The office R-update's normal systems, one per grid column: lambda*I +
+// L^T L minus the column's unobserved outer products at the converged
+// day-45 office factor (rank 8), each with one right-hand side.  /0 solves
+// them one by one (factor_spd + solve_factored_spd), /1 kSpdLanes at a
+// time through kernels::spd_factor_lanes + spd_solve_lanes, tile packing
+// included — the batched half-sweep's factor/solve core.  Microseconds per
+// call: floored in scripts/bench_check.py like BM_SpdSolveMulti.
+void BM_SpdSolveLanes(benchmark::State& state) {
+  struct Systems {
+    std::vector<linalg::Matrix> q;
+    std::vector<std::vector<double>> rhs;
+  };
+  static const Systems sys = [] {
+    const auto& run = office();
+    api::Engine engine;
+    eval::register_run(engine, run, "office");
+    const auto cells = engine.reference_cells("office").value();
+    const linalg::Matrix l =
+        engine
+            .reconstruct(
+                eval::collect_update_request(run, "office", cells, 45))
+            .value()
+            .solver.l;
+    linalg::Matrix seed = l.gram();
+    for (std::size_t a = 0; a < seed.rows(); ++a) seed(a, a) += 0.05;
+    Systems out;
+    rng::Rng rng(25);
+    for (std::size_t j = 0; j < run.b_mask.cols(); ++j) {
+      linalg::Matrix q = seed;
+      for (std::size_t i = 0; i < run.b_mask.rows(); ++i) {
+        if (run.b_mask(i, j) != 0.0) continue;
+        for (std::size_t a = 0; a < q.rows(); ++a) {
+          for (std::size_t b = 0; b < q.cols(); ++b) {
+            q(a, b) -= l(i, a) * l(i, b);
+          }
+        }
+      }
+      out.q.push_back(q);
+      std::vector<double> b(q.rows());
+      for (double& v : b) v = rng.normal();
+      out.rhs.push_back(b);
+    }
+    return out;
+  }();
+  const std::size_t n = sys.q.front().rows();
+  constexpr std::size_t w = linalg::kernels::kSpdLanes;
+  linalg::Matrix work;
+  std::vector<double> diag(n), x(n);
+  std::vector<double> tile(n * n * w), rhs(n * w);
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      for (std::size_t j = 0; j < sys.q.size(); ++j) {
+        work = sys.q[j];
+        x = sys.rhs[j];
+        benchmark::DoNotOptimize(linalg::factor_spd(work, diag));
+        linalg::solve_factored_spd(work, x);
+        benchmark::DoNotOptimize(x.data());
+      }
+      continue;
+    }
+    for (std::size_t g0 = 0; g0 < sys.q.size(); g0 += w) {
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        const bool used = g0 + lane < sys.q.size();
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = a; b < n; ++b) {
+            tile[(a * n + b) * w + lane] =
+                used ? sys.q[g0 + lane](a, b) : (a == b ? 1.0 : 0.0);
+          }
+          rhs[a * w + lane] = used ? sys.rhs[g0 + lane][a] : 0.0;
+        }
+      }
+      benchmark::DoNotOptimize(
+          linalg::kernels::spd_factor_lanes(tile.data(), n));
+      linalg::kernels::spd_solve_lanes(tile.data(), rhs.data(), n);
+      benchmark::DoNotOptimize(rhs.data());
+    }
+  }
+}
+BENCHMARK(BM_SpdSolveLanes)->Arg(0)->Arg(1);
+
 }  // namespace
 
 BENCHMARK_MAIN();

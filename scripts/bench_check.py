@@ -62,6 +62,9 @@ ROW_NOISE_FLOORS = [
     # One 16x16 factor + panel solve runs in ~1-3 us: pure turbo lottery
     # on a shared box, so it can only ever warn.
     (r"^BM_SpdSolveMulti", 50000.0),
+    # The office R-update's 96 rank-8 solves, one by one or lane-batched:
+    # tens of microseconds of divide/sqrt chains, turbo lottery likewise.
+    (r"^BM_SpdSolveLanes", 50000.0),
     # Tail latency needs far more samples than a 0.1 s bench window
     # collects; below 100 us the p99 row is sampling noise, not a signal.
     (r"@p99_us$", 100000.0),

@@ -45,13 +45,14 @@ struct RsvdOptions {
   Constraint2Mode c2_mode = Constraint2Mode::kGaussSeidel;
   FactorInit init = FactorInit::kWarmStart;
   std::uint64_t init_seed = 7;  ///< seed for kRandom initialisation
-  /// Batch the per-column solves of the R-update (and, when Constraint 2
+  /// Group the per-column solves of the R-update (and, when Constraint 2
   /// is inactive, the per-row solves of the L-update) by observation-mask
   /// signature: columns whose normal matrix Q is provably identical share
-  /// one factor_spd and solve as a multi-RHS panel.  Results are
-  /// bit-identical to the ungrouped sweep (the
-  /// invariant is documented in self_augmented.hpp); the knob exists for
-  /// the grouped-vs-ungrouped identity tests and A/B benches.
+  /// one Q build and one factorisation; without grouping every column is
+  /// a group of one on the same batched path.  Results are bit-identical
+  /// to the ungrouped sweep (the invariant is documented in
+  /// self_augmented.hpp); the knob exists for the grouped-vs-ungrouped
+  /// identity tests and A/B benches.
   bool group_masks = true;
   /// Opt-in objective-stagnation early stop: when > 0, a sweep that
   /// still improves the objective but whose relative improvement

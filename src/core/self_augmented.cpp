@@ -17,8 +17,9 @@
 #include "linalg/vec.hpp"
 #include "rng/rng.hpp"
 
-// Two index repairs relative to the published Algorithm 1 (documented in
-// DESIGN.md Sec. 5):
+// Two index repairs relative to the published Algorithm 1 (this comment is
+// their reference; the README's "Repairs to the published Algorithm 1"
+// summarises them):
 //
 //  (1) The similarity curvature term indexes H by the *link* (band) index
 //      ii, not by the within-link slot jj: H is M x M, and jj ranges over
@@ -31,61 +32,39 @@
 //      published curvature including the first-row term.
 //
 // Grouped == ungrouped: every column j of the R-update / row i of the
-// L-update writes only its own output row, the workspace is overwritten
-// from scratch per index, and each mask-group member's solve is
-// bit-identical to its per-column solve.
+// L-update writes only its own output row, its Q and right-hand side are
+// rebuilt from scratch with one fixed op sequence, and every lane of the
+// batched factor/solve is bit-identical to the per-system solve.
 namespace iup::core {
-
-namespace {
-
-// theta_j columns are stored as rows of R; these helpers keep the algebra
-// readable.
-//
-// The normal matrices Q are symmetric, so the outer-product accumulation
-// only fills the upper triangle (half the flops of the dense update);
-// symmetrize_lower() mirrors it once per solve.  The mirrored Q is exactly
-// symmetric and fully deterministic; it may differ from a dense
-// two-triangle accumulation at ulp level, because a weighted lower entry
-// would round as (w*v[b])*v[a] rather than the mirrored (w*v[a])*v[b].
-// The suffix axpys run through the SIMD kernel layer (linalg/kernels/).
-void add_outer(linalg::Matrix& q, std::span<const double> v, double weight) {
-  linalg::kernels::add_outer_upper(weight, v.data(), v.size(),
-                                   q.data().data(), q.cols());
-}
-
-void symmetrize_lower(linalg::Matrix& q) {
-  const std::size_t n = q.rows();
-  for (std::size_t a = 1; a < n; ++a) {
-    for (std::size_t b = 0; b < a; ++b) q(a, b) = q(b, a);
-  }
-}
-
-double row_norm_sq(const linalg::Matrix& m, std::size_t row) {
-  const auto r = m.row_span(row);
-  return linalg::kernels::norm_sq(r.data(), r.size());
-}
-
-}  // namespace
 
 /// One batch of sweep indices whose normal matrix Q is identical (the
 /// mask-grouping invariant, self_augmented.hpp): Q is built and factored
-/// once from members.front() and every member solves as one RHS column of
-/// a shared panel.
+/// once from members.front() and solved once per member.  Without
+/// grouping, every index is a group of one.
 struct MaskGroup {
   std::vector<std::size_t> members;  ///< ascending column / row indices
 };
 
-/// Sweep scratch.  Everything is overwritten from scratch for every index,
-/// so reuse across indices (and across sweeps) cannot leak state.
+/// Sweep scratch, sized once per solve.  Everything is overwritten from
+/// scratch for every system, so reuse across systems (and across sweeps)
+/// cannot leak state.
 struct Workspace {
-  linalg::Matrix q;         ///< rr x rr normal-equation matrix
-  std::vector<double> diag;  ///< rr, solve_spd_into retry scratch
-  // Mask-group scratch: the rr x k multi-RHS block of one group, the
-  // dot_panel reduction scratch of its back substitution, and a Q copy
-  // for the (rare) per-column LU-fallback replay.
-  linalg::Matrix panel;      ///< rr x k RHS panel of one mask group
+  // One lane tile of systems (kernels::spd_factor_lanes layout): each
+  // lane's pristine Q (diagonal and upper triangle — the failure-replay
+  // source, mirrored on replay), the interleaved factor tile and the
+  // interleaved right-hand sides.
+  std::vector<double> q_stack;   ///< kSpdLanes x rr x rr
+  std::vector<double> tile;      ///< rr x rr x kSpdLanes
+  std::vector<double> rhs_tile;  ///< rr x kSpdLanes
+  // Term list of one kernels::axpy_sequence call (AxpyTerms).
+  std::vector<double> alpha;
+  std::vector<const double*> x;
+  // Failure replay: the per-system path of a lane whose factor failed.
+  linalg::Matrix q;          ///< rr x rr copy of the pristine Q
+  std::vector<double> diag;  ///< rr, retry-ladder scratch
+  linalg::Matrix panel;      ///< rr x k RHS panel of one failed group
   std::vector<double> dots;  ///< k, solve_factored_spd_multi scratch
-  linalg::Matrix q_retry;    ///< group fallback: per-column solve replay
+  linalg::Matrix q_retry;    ///< per-member LU-fallback replay copy
   // L-update Constraint-2 scratch (Theta_i stored transposed: row u of
   // theta_t is the factor of band cell (i, u) — a contiguous copy of a row
   // of R instead of a strided column write).
@@ -115,16 +94,18 @@ struct SweepContext {
   std::vector<std::vector<std::size_t>> unobs_rows;  ///< per column j
   std::vector<std::vector<std::size_t>> obs_cols;    ///< per row i
   std::vector<std::vector<std::size_t>> unobs_cols;  ///< per row i
-  // Mask groups, built once per solve when RsvdOptions::group_masks (the
-  // grouping depends only on B, the layout and the constraint weights —
-  // all fixed across sweeps).  Empty vectors select the ungrouped sweep.
+  // The systems of each half-sweep, built once per solve (the grouping
+  // depends only on B, the layout and the constraint weights — all fixed
+  // across sweeps), largest group first.  Mask groups when
+  // RsvdOptions::group_masks, singletons otherwise; the L-update's rows
+  // are always singletons under Constraint 2 (per-row Theta curvature).
   std::vector<MaskGroup> col_groups;  ///< R-update (grid columns)
-  std::vector<MaskGroup> row_groups;  ///< L-update; only when Q is
-                                      ///< mask-only (Constraint 2 inactive)
+  std::vector<MaskGroup> row_groups;  ///< L-update (links)
   // Sweep outputs (double-buffered against l_hat / r_hat in solve()).
   linalg::Matrix r_next;
   linalg::Matrix l_next;
   // Objective scratch.
+  linalg::Matrix rt;  ///< R^T, the dot_panel operand of X_hat = L R^T
   linalg::Matrix x_hat;
   linalg::Matrix xd_obj;
   linalg::Matrix xdg_obj;
@@ -134,32 +115,67 @@ struct SweepContext {
 
 namespace {
 
-/// Solve one mask group against `out`'s member rows (which already hold
-/// the right-hand sides): Q is built once from the representative member,
-/// factored once, and every member solves as one column of a shared RHS
-/// panel.  Size-1 groups and failed factorisations take the exact
-/// per-column solve_spd_into path, so grouped results are bit-identical
-/// to the ungrouped sweep in every case.  (SpdStats granularity is the
-/// one observable difference: a shared factorisation counts its bump
-/// recovery once per group instead of once per member, and the
-/// LU-fallback replay below adds one group-level failure on top of the
-/// per-member ladders.)
-template <typename BuildQ>
-void solve_mask_group(const MaskGroup& grp, Workspace& ws,
-                      linalg::Matrix& out, const BuildQ& build_q) {
-  build_q(ws.q, grp.members.front());
+double row_norm_sq(const linalg::Matrix& m, std::size_t row) {
+  const auto r = m.row_span(row);
+  return linalg::kernels::norm_sq(r.data(), r.size());
+}
+
+/// Mirror the upper triangle of a row-major n x n matrix into the lower.
+void symmetrize_lower(double* q, std::size_t n) {
+  for (std::size_t a = 1; a < n; ++a) {
+    for (std::size_t b = 0; b < a; ++b) q[a * n + b] = q[b * n + a];
+  }
+}
+
+/// The term list of one kernels::axpy_sequence call, in Workspace storage
+/// (sized once per solve for the longest list a half-sweep builds).
+class AxpyTerms {
+ public:
+  explicit AxpyTerms(Workspace& ws)
+      : alpha_(ws.alpha.data()), x_(ws.x.data()) {}
+
+  void add(double alpha, const double* x) {
+    alpha_[count_] = alpha;
+    x_[count_] = x;
+    ++count_;
+  }
+  /// A row term of a rank-1 update: skipped when the scaled pivot is
+  /// exactly zero (the zero-skip contract in kernels.hpp).
+  void add_nonzero(double alpha, const double* x) {
+    if (alpha != 0.0) add(alpha, x);
+  }
+  /// y[0, n) += every listed term in order, then clear the list.
+  void apply(double* y, std::size_t n) {
+    linalg::kernels::axpy_sequence(alpha_, x_, count_, y, n);
+    count_ = 0;
+  }
+
+ private:
+  double* alpha_;
+  const double** x_;
+  std::size_t count_ = 0;
+};
+
+/// Replay one group whose lane factorisation failed through the
+/// per-system path, from its pristine Q mirrored to the full symmetric
+/// matrix: a singleton through solve_spd_into; a group through factor_spd
+/// plus one multi-RHS panel solve, or — if even the bump ladder fails —
+/// solve_spd_into per member on the restored Q (LU fallback).  The failed
+/// lane attempt itself is not counted, so the bits and SpdStats are those
+/// of the per-system path.  SpdStats granularity: a shared factorisation
+/// counts its failure and bump recovery once per group instead of once
+/// per member, and the LU replay adds one group-level failure on top of
+/// the per-member ladders (k members report k+1 failures where the same
+/// columns solved one by one report k).
+void replay_failed(const MaskGroup& grp, const double* q, Workspace& ws,
+                   linalg::Matrix& out) {
+  std::copy(q, q + ws.q.size(), ws.q.data().begin());
+  symmetrize_lower(ws.q.data().data(), ws.q.rows());
   if (grp.members.size() == 1) {
     linalg::solve_spd_into(ws.q, out.row_span(grp.members.front()), ws.diag);
     return;
   }
   if (!linalg::factor_spd(ws.q, ws.diag)) {
-    // Rare indefinite Q: factor_spd restored ws.q to the symmetrised
-    // unbumped input, so replaying solve_spd_into per member (on a copy —
-    // it destroys its matrix) reproduces the ungrouped retry ladder and
-    // LU fallback bit for bit.  (SpdStats on this path: the group-level
-    // attempt above counted one extra failure, then every member replay
-    // counts its own ladder — k members report k+1 failures vs the
-    // ungrouped sweep's k.)
     for (const std::size_t j : grp.members) {
       ws.q_retry = ws.q;
       linalg::solve_spd_into(ws.q_retry, out.row_span(j), ws.diag);
@@ -178,6 +194,68 @@ void solve_mask_group(const MaskGroup& grp, Workspace& ws,
   for (std::size_t c = 0; c < k; ++c) {
     const auto row = out.row_span(grp.members[c]);
     for (std::size_t i = 0; i < n; ++i) row[i] = ws.panel(i, c);
+  }
+}
+
+/// The batched half-sweep: build -> factor -> solve, kSpdLanes groups at a
+/// time.  `build(grp, q)` writes the group's rr x rr Q to `q` (diagonal
+/// and upper triangle; the strict lower triangle is unspecified) and each
+/// member's right-hand side into its row of
+/// `out`; on return those rows hold the solutions.  Each tile packs its
+/// groups' upper triangles into lanes (idle lanes get the identity),
+/// factors them in one spd_factor_lanes call, replays failed lanes through
+/// replay_failed, and solves the rest in member rounds: round t solves
+/// member t of every lane that has one (groups come largest first, so the
+/// lanes of a tile carry similar member counts).
+template <typename Build>
+void solve_batched(const std::vector<MaskGroup>& groups, std::size_t rr,
+                   Workspace& ws, linalg::Matrix& out, const Build& build) {
+  constexpr std::size_t w = linalg::kernels::kSpdLanes;
+  const std::size_t q_size = rr * rr;
+  for (std::size_t g0 = 0; g0 < groups.size(); g0 += w) {
+    const std::size_t lanes = std::min(w, groups.size() - g0);
+    for (std::size_t lane = 0; lane < w; ++lane) {
+      double* q = ws.q_stack.data() + lane * q_size;
+      if (lane < lanes) build(groups[g0 + lane], q);
+      for (std::size_t a = 0; a < rr; ++a) {
+        for (std::size_t b = a; b < rr; ++b) {
+          ws.tile[(a * rr + b) * w + lane] =
+              lane < lanes ? q[a * rr + b] : (a == b ? 1.0 : 0.0);
+        }
+      }
+    }
+    const unsigned failed =
+        linalg::kernels::spd_factor_lanes(ws.tile.data(), rr);
+    std::size_t rounds = 0;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const MaskGroup& grp = groups[g0 + lane];
+      if ((failed >> lane) & 1u) {
+        replay_failed(grp, ws.q_stack.data() + lane * q_size, ws, out);
+      } else {
+        rounds = std::max(rounds, grp.members.size());
+      }
+    }
+    // Member index t of `lane`'s group in this round, or nullptr.
+    const auto member_row = [&](std::size_t lane, std::size_t t) -> double* {
+      if (lane >= lanes || ((failed >> lane) & 1u)) return nullptr;
+      const MaskGroup& grp = groups[g0 + lane];
+      return t < grp.members.size() ? out.row_span(grp.members[t]).data()
+                                    : nullptr;
+    };
+    for (std::size_t t = 0; t < rounds; ++t) {
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        const double* b = member_row(lane, t);
+        for (std::size_t a = 0; a < rr; ++a) {
+          ws.rhs_tile[a * w + lane] = b != nullptr ? b[a] : 0.0;
+        }
+      }
+      linalg::kernels::spd_solve_lanes(ws.tile.data(), ws.rhs_tile.data(), rr);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        double* x = member_row(lane, t);
+        if (x == nullptr) continue;
+        for (std::size_t a = 0; a < rr; ++a) x[a] = ws.rhs_tile[a * w + lane];
+      }
+    }
   }
 }
 
@@ -323,7 +401,15 @@ double SelfAugmentedRsvd::objective(const RsvdProblem& problem,
                                     const Weights& w, const linalg::Matrix& l,
                                     const linalg::Matrix& r,
                                     SweepContext& ctx) const {
-  linalg::multiply_transposed_into(l, r, ctx.x_hat);  // X_hat = L R^T
+  // X_hat = L R^T, one dot_panel per row of L over the columns of R^T:
+  // per element bit-identical to dot(l_i, r_j) (dot_panel's contract).
+  linalg::transpose_into(r, ctx.rt);
+  ctx.x_hat.resize(l.rows(), r.rows());
+  for (std::size_t i = 0; i < l.rows(); ++i) {
+    linalg::kernels::dot_panel(l.row_span(i).data(), ctx.rt.data().data(),
+                               r.rows(), l.cols(), r.rows(),
+                               ctx.x_hat.row_span(i).data());
+  }
   double v = options_.lambda * (linalg::frobenius_norm_sq(l) +
                                 linalg::frobenius_norm_sq(r));
   v += linalg::masked_diff_norm_sq(problem.b, ctx.x_hat, problem.x_b);
@@ -380,43 +466,13 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
   }
 
   ctx.r_next.resize(n, rr);
-
-  // Q for column j — the exact op sequence of the historical per-column
-  // loop (the mask-grouping invariant relies on identical inputs plus an
-  // identical sequence producing identical bits).  Data term in
-  // complement form: Q = (lambda*I + L^T L) minus the unobserved rows'
-  // outer products, instead of lambda*I plus the observed ones — far
-  // fewer rank-1 updates on realistic dense masks, identical curvature
-  // up to rounding.
-  const auto build_q = [&](linalg::Matrix& q, std::size_t j) {
-    std::copy(ctx.lql.data().begin(), ctx.lql.data().end(),
-              q.data().begin());
-    for (const std::size_t i : ctx.unobs_rows[j]) {
-      add_outer(q, l.row_span(i), -1.0);
-    }
-    // Constraint 1: w1 ||L theta - p_j||^2 over all links.
-    if (w.w1 > 0.0) linalg::add_scaled(q, w.w1, ctx.ltl);
-    // Constraint 2: only the band entry (ii, jj) of column j is a
-    // largely-decrease element.  The curvature scalars come from
-    // c2_curvature — the same helper the mask-group signature encodes.
-    if (c2) {
-      const auto l_band = l.row_span(layout_.band_of(j));
-      const auto [w2c, w3c] = c2_curvature(w, j);
-      if (w.w2 > 0.0) add_outer(q, l_band, w2c);
-      if (w.w3 > 0.0) add_outer(q, l_band, w3c);
-    }
-    symmetrize_lower(q);
-  };
+  AxpyTerms terms(ctx.ws);
 
   // Constraint-2 Gauss-Seidel cross terms of column j, appended AFTER the
-  // data / Constraint-1 axpys by both RHS builders below (the fused panel
-  // builder and the per-column one), so the per-column accumulation order
-  // can never differ between them.
-  const auto append_rhs_c2 = [&](std::size_t j) {
-    const auto c = ctx.r_next.row_span(j);
+  // data / Constraint-1 terms of its right-hand side.
+  const auto append_rhs_c2 = [&](std::size_t j, const double* l_band) {
     const std::size_t ii = layout_.band_of(j);
     const std::size_t jj = layout_.slot_of(j);
-    const auto l_band = l.row_span(ii);
     if (w.w2 > 0.0) {
       // Cross term with the neighbouring slots of the current
       // estimate: sum_q (XD*G)(ii,q) G(jj,q) with the self
@@ -427,82 +483,63 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
             ctx.xdg(ii, qq) - ctx.xd_cur(ii, jj) * g_(jj, qq);
         cross += others * g_(jj, qq);
       }
-      linalg::axpy(-w.w2 * cross, l_band, c);
+      terms.add(-w.w2 * cross, l_band);
     }
     if (w.w3 > 0.0) {
       double neighbor_sum = 0.0;
       if (ii > 0) neighbor_sum += ctx.xd_cur(ii - 1, jj);
       if (ii + 1 < layout_.links) neighbor_sum += ctx.xd_cur(ii + 1, jj);
-      linalg::axpy(w.w3 * neighbor_sum, l_band, c);
+      terms.add(w.w3 * neighbor_sum, l_band);
     }
   };
 
-  // Right-hand side of column j, built directly in the output row so the
-  // in-place solve lands the solution there without a copy.
-  const auto build_rhs = [&](std::size_t j) {
-    const auto c = ctx.r_next.row_span(j);
-    std::fill(c.begin(), c.end(), 0.0);
-    for (const std::size_t i : ctx.obs_rows[j]) {
-      linalg::axpy(problem.x_b(i, j), l.row_span(i), c);
-    }
-    if (w.w1 > 0.0) {
-      for (std::size_t i = 0; i < m; ++i) {
-        linalg::axpy(w.w1 * problem.p(i, j), l.row_span(i), c);
+  // One group's system.  Q in complement form, row by row in registers:
+  // (lambda*I + L^T L) minus the unobserved rows' outer products, then the
+  // Constraint-1 curvature, then the two Constraint-2 rank-1s — per
+  // element one fixed op sequence (the mask-grouping invariant relies on
+  // identical inputs plus an identical sequence producing identical
+  // bits).  Then every member's
+  // right-hand side, also in registers: the data terms over the group's
+  // shared observed rows (the complement of the signature's unobserved
+  // set), the Constraint-1 terms, then the Constraint-2 cross terms.
+  const auto build = [&](const MaskGroup& grp, double* q) {
+    const std::size_t j0 = grp.members.front();
+    const double* l_band =
+        c2 ? l.row_span(layout_.band_of(j0)).data() : nullptr;
+    // The curvature scalars come from c2_curvature — the same helper the
+    // mask-group signature encodes.
+    const auto [w2c, w3c] = c2 ? c2_curvature(w, j0) : std::pair{0.0, 0.0};
+    std::copy(ctx.lql.data().begin(), ctx.lql.data().end(), q);
+    for (std::size_t a = 0; a < rr; ++a) {
+      const std::size_t s = linalg::kernels::upper_row_start(a, rr);
+      for (const std::size_t i : ctx.unobs_rows[j0]) {
+        const double* li = l.row_span(i).data();
+        terms.add_nonzero(-1.0 * li[a], li + s);
       }
+      if (w.w1 > 0.0) terms.add(w.w1, ctx.ltl.row_span(a).data() + s);
+      if (c2) {
+        if (w.w2 > 0.0) terms.add_nonzero(w2c * l_band[a], l_band + s);
+        if (w.w3 > 0.0) terms.add_nonzero(w3c * l_band[a], l_band + s);
+      }
+      terms.apply(q + a * rr + s, rr - s);
     }
-    if (c2 && gauss_seidel) append_rhs_c2(j);
-  };
 
-  // Fused RHS construction of one mask group (ROADMAP 4a): the group
-  // signature fixes the unobserved row set, hence its complement — every
-  // member walks the SAME observed index list.  Walk it once, loading each
-  // L row once per group instead of once per member, and feed all member
-  // columns from it.  Per member the accumulation order is unchanged
-  // (data axpys in ascending i, then the Constraint-1 axpys in ascending
-  // i, then the Constraint-2 cross terms), so every member's RHS is
-  // bit-identical to build_rhs above.
-  const auto build_rhs_group = [&](const MaskGroup& grp) {
     for (const std::size_t j : grp.members) {
-      const auto c = ctx.r_next.row_span(j);
-      std::fill(c.begin(), c.end(), 0.0);
-    }
-    for (const std::size_t i : ctx.obs_rows[grp.members.front()]) {
-      const auto li = l.row_span(i);
-      for (const std::size_t j : grp.members) {
-        linalg::axpy(problem.x_b(i, j), li, ctx.r_next.row_span(j));
+      for (const std::size_t i : ctx.obs_rows[j0]) {
+        terms.add(problem.x_b(i, j), l.row_span(i).data());
       }
-    }
-    if (w.w1 > 0.0) {
-      for (std::size_t i = 0; i < m; ++i) {
-        const auto li = l.row_span(i);
-        for (const std::size_t j : grp.members) {
-          linalg::axpy(w.w1 * problem.p(i, j), li, ctx.r_next.row_span(j));
+      if (w.w1 > 0.0) {
+        for (std::size_t i = 0; i < m; ++i) {
+          terms.add(w.w1 * problem.p(i, j), l.row_span(i).data());
         }
       }
-    }
-    if (c2 && gauss_seidel) {
-      for (const std::size_t j : grp.members) append_rhs_c2(j);
+      if (c2 && gauss_seidel) append_rhs_c2(j, l_band);
+      const auto c = ctx.r_next.row_span(j);
+      std::fill(c.begin(), c.end(), 0.0);
+      terms.apply(c.data(), rr);
     }
   };
-
-  Workspace& ws = ctx.ws;
-  ws.q.resize(rr, rr);
-  ws.diag.resize(rr);
-  if (ctx.col_groups.empty()) {
-    // Ungrouped sweep: one Q + one solve per column.
-    for (std::size_t j = 0; j < n; ++j) {
-      build_q(ws.q, j);
-      build_rhs(j);
-      linalg::solve_spd_into(ws.q, ctx.r_next.row_span(j), ws.diag);
-    }
-    return;
-  }
-
-  // Mask-grouped sweep: a group's members share one factored Q.
-  for (const MaskGroup& grp : ctx.col_groups) {
-    build_rhs_group(grp);
-    solve_mask_group(grp, ws, ctx.r_next, build_q);
-  }
+  solve_batched(ctx.col_groups, rr, ctx.ws, ctx.r_next, build);
 }
 
 void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
@@ -534,109 +571,30 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
   }
 
   ctx.l_next.resize(m, rr);
-
-  // Q and RHS for row i, data + Constraint-1 terms only (complement-form
-  // data term, mirroring update_r) — shared verbatim by the grouped and
-  // ungrouped paths below so they cannot drift apart.  The Q stream stops
-  // before the Constraint-2 curvature: the ungrouped loop appends it, the
-  // grouped path (mask-only Q by construction) symmetrizes directly.
-  const auto build_q_base = [&](linalg::Matrix& q, std::size_t i) {
-    std::copy(ctx.rql.data().begin(), ctx.rql.data().end(),
-              q.data().begin());
-    for (const std::size_t j : ctx.unobs_cols[i]) {
-      add_outer(q, r.row_span(j), -1.0);
-    }
-    if (w.w1 > 0.0) linalg::add_scaled(q, w.w1, ctx.rtr);
-  };
-  const auto build_rhs_base = [&](std::size_t i) {
-    const auto c = ctx.l_next.row_span(i);
-    std::fill(c.begin(), c.end(), 0.0);
-    for (const std::size_t j : ctx.obs_cols[i]) {
-      linalg::axpy(problem.x_b(i, j), r.row_span(j), c);
-    }
-    if (w.w1 > 0.0) {
-      for (std::size_t j = 0; j < n; ++j) {
-        linalg::axpy(w.w1 * problem.p(i, j), r.row_span(j), c);
-      }
-    }
-  };
-
-  // Fused RHS construction of one row group, mirroring the R-update's
-  // build_rhs_group: all member rows share the observed column set, so one
-  // walk over it (and over the Constraint-1 columns) feeds every member,
-  // loading each R row once per group.  Per-member accumulation order is
-  // identical to build_rhs_base, so the fused panel is bit-identical.
-  const auto build_rhs_group = [&](const MaskGroup& grp) {
-    for (const std::size_t i : grp.members) {
-      const auto c = ctx.l_next.row_span(i);
-      std::fill(c.begin(), c.end(), 0.0);
-    }
-    for (const std::size_t j : ctx.obs_cols[grp.members.front()]) {
-      const auto rj = r.row_span(j);
-      for (const std::size_t i : grp.members) {
-        linalg::axpy(problem.x_b(i, j), rj, ctx.l_next.row_span(i));
-      }
-    }
-    if (w.w1 > 0.0) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const auto rj = r.row_span(j);
-        for (const std::size_t i : grp.members) {
-          linalg::axpy(w.w1 * problem.p(i, j), rj, ctx.l_next.row_span(i));
-        }
-      }
-    }
-  };
-
   Workspace& ws = ctx.ws;
-  ws.q.resize(rr, rr);
-  ws.diag.resize(rr);
-  if (!ctx.row_groups.empty()) {
-    // Mask-grouped L-update.  Only reached when Constraint 2 is inactive
-    // (solve() builds row_groups for mask-only Q), so Q is exactly
-    // (lambda*I + R^T R) minus the unobserved columns' outer products
-    // plus the optional Constraint-1 curvature — identical for rows
-    // sharing an unobserved set.
-    const auto build_q = [&](linalg::Matrix& q, std::size_t i) {
-      build_q_base(q, i);
-      symmetrize_lower(q);
-    };
-    for (const MaskGroup& grp : ctx.row_groups) {
-      build_rhs_group(grp);
-      solve_mask_group(grp, ws, ctx.l_next, build_q);
-    }
-    return;
-  }
+  AxpyTerms terms(ws);
 
-  if (c2) {
-    ws.theta_t.resize(layout_.slots, rr);
-    ws.neighbor_sum.resize(layout_.slots);
-    ws.contrib.resize(rr);
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    linalg::Matrix& q = ws.q;
-    build_q_base(q, i);
-    build_rhs_base(i);
-    const auto c = ctx.l_next.row_span(i);
-
+  // One group's system, mirroring update_r: Q in complement form row by
+  // row in registers — (lambda*I + R^T R) minus the unobserved columns'
+  // outer products, then the Constraint-1 curvature, then (Constraint 2
+  // active, every group a single row) the row's Theta curvature — and each
+  // member row's right-hand side: data terms, Constraint-1 terms, then the
+  // similarity cross term.  Without Constraint 2, Q is mask-only and
+  // rows sharing an unobserved set share it.
+  const auto build = [&](const MaskGroup& grp, double* q) {
+    const std::size_t i = grp.members.front();
+    double w3_scale = 0.0;  // the Theta Theta^T coefficient
     if (c2) {
       // Theta_i stored transposed: row u of theta_t is the factor of
       // band cell (i, u) — one contiguous copy per slot.
       for (std::size_t u = 0; u < layout_.slots; ++u) {
         r.copy_row_into(layout_.cell(i, u), ws.theta_t.row_span(u));
       }
-      if (w.w2 > 0.0) {
-        if (gauss_seidel) {
-          // Row i of X_D*G is (l_i Theta_i) G: exactly quadratic in l_i
-          // with curvature (Theta G)(Theta G)^T = gram(G^T Theta^T).
-          linalg::multiply_into(g_t_, ws.theta_t, ws.tg);
-          linalg::gram_into(ws.tg, ws.gbuf);
-          linalg::add_scaled(q, w.w2, ws.gbuf);
-        } else {
-          for (std::size_t u = 0; u < layout_.slots; ++u) {
-            add_outer(q, ws.theta_t.row_span(u),
-                      w.w2 * row_norm_sq(g_, u));
-          }
-        }
+      if (w.w2 > 0.0 && gauss_seidel) {
+        // Row i of X_D*G is (l_i Theta_i) G: exactly quadratic in l_i
+        // with curvature (Theta G)(Theta G)^T = gram(G^T Theta^T).
+        linalg::multiply_into(g_t_, ws.theta_t, ws.tg);
+        linalg::gram_into(ws.tg, ws.gbuf);
       }
       if (w.w3 > 0.0) {
         linalg::gram_into(ws.theta_t, ws.ttt);  // Theta Theta^T
@@ -655,25 +613,64 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
               ws.neighbor_sum[u] += ctx.xd_cur(i + 1, u);
             }
           }
-          linalg::add_scaled(q, w.w3 * count, ws.ttt);
+          w3_scale = w.w3 * count;
           // contrib = Theta * neighbor_sum, accumulated row by row of
           // theta_t (same ascending-u order as the dense product).
-          std::fill(ws.contrib.begin(), ws.contrib.end(), 0.0);
           for (std::size_t u = 0; u < layout_.slots; ++u) {
-            linalg::axpy(ws.neighbor_sum[u], ws.theta_t.row_span(u),
-                         ws.contrib);
+            terms.add(ws.neighbor_sum[u], ws.theta_t.row_span(u).data());
           }
-          linalg::axpy(w.w3, ws.contrib, c);
+          std::fill(ws.contrib.begin(), ws.contrib.end(), 0.0);
+          terms.apply(ws.contrib.data(), rr);
         } else {
           const double h_col_sq = i + 1 < layout_.links ? 2.0 : 1.0;
-          linalg::add_scaled(q, w.w3 * h_col_sq, ws.ttt);
+          w3_scale = w.w3 * h_col_sq;
         }
       }
     }
 
-    symmetrize_lower(q);
-    linalg::solve_spd_into(q, c, ws.diag);
-  }
+    std::copy(ctx.rql.data().begin(), ctx.rql.data().end(), q);
+    for (std::size_t a = 0; a < rr; ++a) {
+      const std::size_t s = linalg::kernels::upper_row_start(a, rr);
+      for (const std::size_t j : ctx.unobs_cols[i]) {
+        const double* rj = r.row_span(j).data();
+        terms.add_nonzero(-1.0 * rj[a], rj + s);
+      }
+      if (w.w1 > 0.0) terms.add(w.w1, ctx.rtr.row_span(a).data() + s);
+      if (c2 && w.w2 > 0.0) {
+        if (gauss_seidel) {
+          terms.add(w.w2, ws.gbuf.row_span(a).data() + s);
+        } else {
+          for (std::size_t u = 0; u < layout_.slots; ++u) {
+            const double* theta_u = ws.theta_t.row_span(u).data();
+            terms.add_nonzero(w.w2 * row_norm_sq(g_, u) * theta_u[a],
+                              theta_u + s);
+          }
+        }
+      }
+      if (c2 && w.w3 > 0.0) {
+        terms.add(w3_scale, ws.ttt.row_span(a).data() + s);
+      }
+      terms.apply(q + a * rr + s, rr - s);
+    }
+
+    for (const std::size_t row : grp.members) {
+      for (const std::size_t j : ctx.obs_cols[i]) {
+        terms.add(problem.x_b(row, j), r.row_span(j).data());
+      }
+      if (w.w1 > 0.0) {
+        for (std::size_t j = 0; j < n; ++j) {
+          terms.add(w.w1 * problem.p(row, j), r.row_span(j).data());
+        }
+      }
+      if (c2 && w.w3 > 0.0 && gauss_seidel) {
+        terms.add(w.w3, ws.contrib.data());
+      }
+      const auto c = ctx.l_next.row_span(row);
+      std::fill(c.begin(), c.end(), 0.0);
+      terms.apply(c.data(), rr);
+    }
+  };
+  solve_batched(ctx.row_groups, rr, ws, ctx.l_next, build);
 }
 
 RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
@@ -774,6 +771,50 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
           ctx.row_groups);
     }
   }
+  // Ungrouped indices — every index without group_masks, and the
+  // L-update's rows under Constraint 2 — are groups of one on the same
+  // batched path.
+  const auto fill_singletons = [](std::size_t count,
+                                  std::vector<MaskGroup>& groups) {
+    if (!groups.empty()) return;
+    groups.resize(count);
+    for (std::size_t j = 0; j < count; ++j) groups[j].members = {j};
+  };
+  fill_singletons(problem.b.cols(), ctx.col_groups);
+  fill_singletons(problem.b.rows(), ctx.row_groups);
+  // Largest groups first, so the lanes of one tile carry similar member
+  // counts and few sit idle in the member rounds.  Every system writes
+  // only its own output rows, so the order cannot change any bit.
+  const auto by_size = [](const MaskGroup& a, const MaskGroup& b) {
+    return a.members.size() > b.members.size();
+  };
+  std::stable_sort(ctx.col_groups.begin(), ctx.col_groups.end(), by_size);
+  std::stable_sort(ctx.row_groups.begin(), ctx.row_groups.end(), by_size);
+
+  // Size the sweep scratch once; steady-state sweeps then allocate
+  // nothing.  The longest axpy_sequence term list is an L-update
+  // right-hand side (observed + Constraint-1 columns) or Q row
+  // (unobserved columns, Constraint-1 and per-slot curvature).
+  {
+    const std::size_t m = problem.b.rows();
+    const std::size_t n = problem.b.cols();
+    const std::size_t rr = l_hat.cols();
+    constexpr std::size_t lanes = linalg::kernels::kSpdLanes;
+    Workspace& ws = ctx.ws;
+    ws.q_stack.resize(lanes * rr * rr);
+    ws.tile.resize(rr * rr * lanes);
+    ws.rhs_tile.resize(rr * lanes);
+    const std::size_t max_terms = 2 * (m + n) + layout_.slots + 4;
+    ws.alpha.resize(max_terms);
+    ws.x.resize(max_terms);
+    ws.q.resize(rr, rr);
+    ws.diag.resize(rr);
+    if (options_.use_constraint2) {
+      ws.theta_t.resize(layout_.slots, rr);
+      ws.neighbor_sum.resize(layout_.slots);
+      ws.contrib.resize(rr);
+    }
+  }
 
   RsvdResult out;
   for (const MaskGroup& grp : ctx.col_groups) {
@@ -782,6 +823,7 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
       out.grouped_columns += grp.members.size();
     }
   }
+  out.objective_history.reserve(options_.max_iters);
   double best_v = std::numeric_limits<double>::infinity();
   double v_initial = -1.0;
   const double data_scale =

@@ -16,8 +16,20 @@
 //
 // Performance: the sweep runs serially — at paper scale (6-8 links x
 // 72-120 cells) a fan-out inside one solve costs more than it saves; the
-// engine parallelises across sites instead.  All sweep scratch lives in a
-// SweepContext of caller-owned buffers, so steady-state iterations perform
+// engine parallelises across sites instead.  Each half-sweep is one
+// batched pass, build -> factor -> solve: every independent r x r SPD
+// system (the R-update's mask groups and singleton columns, the
+// L-update's rows) has its Q built row by row in registers
+// (kernels::axpy_sequence), is packed into a tile of kernels::kSpdLanes
+// systems (8 at AVX-512, 4 at AVX2, 1 at scalar) and factored and solved
+// lane-parallel (kernels::spd_factor_lanes / spd_solve_lanes); a group's
+// members solve in "member rounds", round t taking member t of every
+// lane.  Every lane and every accumulated element replays the per-system
+// op sequence of its dispatch level, so the bits are those of the
+// one-system-at-a-time solve; a lane whose unbumped factorisation fails
+// replays through linalg::solve_spd_into / factor_spd (bump ladder, LU
+// fallback) from a pristine copy of its Q.  All sweep scratch lives in a
+// SweepContext sized once per solve, so steady-state iterations perform
 // zero heap allocations.
 //
 // Mask-grouping invariant (RsvdOptions::group_masks, default on).  The
@@ -33,18 +45,15 @@
 // never on the observed VALUES, which enter the right-hand side alone.
 // Columns that agree on (a)-(c) share Q bit for bit in every sweep (same
 // inputs, same op sequence), so the sweep groups them once per solve,
-// factors each group's Q once, and solves the group's right-hand sides as
-// one multi-RHS panel (linalg::solve_factored_spd_multi), whose per-column
-// results are bit-identical to the historical one-column loop.  The RHS
-// panel is built fused as well: a group's members share the observed index
-// set (complement of the signature's unobserved set), so one walk over it
-// feeds every member column — each L/R row is loaded once per group
-// instead of once per member, with per-member accumulation order (and
-// therefore every bit) unchanged.  The same
-// holds for L-update rows when Constraint 2 is inactive (with c2 active,
-// the per-row Theta curvature makes every row's Q unique).  Guarantees:
-// grouped and ungrouped sweeps are exactly equal at every kernel dispatch
-// level (tests/linalg_spd_multi_test.cpp).
+// builds and factors each group's Q once, and solves every member against
+// that one factor.  A group's members also share the observed index set
+// (complement of the signature's unobserved set), so their right-hand
+// sides walk one list of L rows.  The same holds for L-update rows when
+// Constraint 2 is inactive (with c2 active, the per-row Theta curvature
+// makes every row's Q unique).  Without grouping every index is a group of
+// one on the same batched path, so grouped and ungrouped sweeps differ
+// only in how indices are grouped and are exactly equal at every kernel
+// dispatch level (tests/linalg_spd_multi_test.cpp).
 #pragma once
 
 #include <utility>

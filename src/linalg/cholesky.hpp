@@ -68,10 +68,10 @@ void solve_factored_spd(const Matrix& r, std::span<double> bx);
 /// streams the same per-element fused ops across the panel rows (IEEE
 /// multiplication/FMA commute bitwise in their factor operands), and the
 /// back substitution reduces each column through kernels::dot_panel, which
-/// replays the active level's dot() reduction tree per column.  This is
-/// the factor-once solve-many hot path of the mask-grouped sweep
-/// (core/self_augmented.cpp): columns sharing an observation mask share Q,
-/// so one factor_spd feeds one panel solve for the whole group.
+/// replays the active level's dot() reduction tree per column.  The
+/// mask-grouped sweep (core/self_augmented.cpp) solves a group through it
+/// when the group's lane factorisation failed and factor_spd's bump ladder
+/// rescued the shared Q.
 void solve_factored_spd_multi(const Matrix& r, Matrix& panel,
                               std::span<double> dot_scratch);
 

@@ -7,9 +7,10 @@
 // benches at -march=native, CI exercises both a baseline and an
 // x86-64-v3 cell).
 //
-//   kernels::dot / axpy / axpy2 / add_outer_upper / norm_sq /
+//   kernels::dot / axpy / axpy2 / norm_sq /
 //   diff_norm_sq / masked_diff_norm_sq /
-//   dot_panel                            — forward to the active level
+//   dot_panel / axpy_sequence /
+//   spd_factor_lanes / spd_solve_lanes  — forward to the active level
 //   kernels::gemm_accumulate             — register-blocked packed GEMM
 //                                          (kernels/gemm.hpp)
 //   kernels::scalar::*                   — always available (reference)
@@ -35,10 +36,23 @@
 //    panel solve in linalg/cholesky.cpp relies on it to keep each RHS of
 //    a multi-RHS SPD solve exactly equal to the historical one-column
 //    solve_factored_spd loop.
-//  * Zero-skips (add_outer_upper rows, the multiply_into pivot skip) are
-//    exact no-ops on finite data: a contribution 0.0 * v adds +/-0, and
-//    an accumulator seeded with +0 can never round to -0, so skipping
-//    cannot change any finite result.
+//  * The lane kernels are held to the same per-element / per-lane
+//    promise.  axpy_sequence(alpha, x, count, y, n) is bit-identical to
+//    axpy(alpha[t], x[t], y, n) for t = 0 .. count-1 in order (it keeps y
+//    in registers instead of memory).  spd_factor_lanes + spd_solve_lanes
+//    factor and solve kSpdLanes interleaved SPD systems at once (8 at
+//    AVX-512, 4 at AVX2, 1 at scalar), and every lane is bit-identical to
+//    linalg::cholesky_upper_in_place + solve_factored_spd at that same
+//    level — the factor's pivot/divide/fma chain per lane, the back
+//    substitution through this level's dot() tree per lane (dot_panel's
+//    replay with `a` loaded per lane) — and fails exactly when that
+//    factorisation fails.  The batched sweep (core/self_augmented.cpp)
+//    relies on both to keep every committed bit.
+//  * Zero-skips (the rank-1 row skips of gram_into and the sweep's Q
+//    build, the multiply_into pivot skip) are exact no-ops on finite
+//    data: a contribution 0.0 * v adds +/-0, and an accumulator seeded
+//    with +0 can never round to -0, so skipping cannot change any finite
+//    result.
 #pragma once
 
 #include <cstddef>
@@ -105,11 +119,6 @@ inline void axpy2(double a, const double* x, double b, const double* y,
   active::axpy2(a, x, b, y, out, n);
 }
 
-inline void add_outer_upper(double weight, const double* v, std::size_t n,
-                            double* q, std::size_t ld) {
-  active::add_outer_upper(weight, v, n, q, ld);
-}
-
 inline double norm_sq(const double* x, std::size_t n) {
   return active::norm_sq(x, n);
 }
@@ -126,11 +135,49 @@ inline double masked_diff_norm_sq(const double* mask, const double* x,
 /// out[c] = dot(a, column c of the row-major n x k panel `b` with leading
 /// dimension ldb), for c in [0, k) — bit-identical per column to calling
 /// this level's dot() on a contiguous copy of that column, vectorised
-/// across the RHS columns instead of along them.  The multi-RHS SPD
-/// back substitution (linalg/cholesky.cpp) is the consumer.
+/// across the RHS columns instead of along them.  Consumers: the
+/// multi-RHS SPD back substitution (linalg/cholesky.cpp) and the sweep
+/// objective's X_hat = L R^T (core/self_augmented.cpp).
 inline void dot_panel(const double* a, const double* b, std::size_t ldb,
                       std::size_t n, std::size_t k, double* out) {
   active::dot_panel(a, b, ldb, n, k, out);
+}
+
+/// y += alpha[t] * x[t] for t = 0 .. count-1 in order, each x[t] of
+/// length n — bit-identical to the repeated axpy() calls, with y held in
+/// registers for n <= 16.
+inline void axpy_sequence(const double* alpha, const double* const* x,
+                          std::size_t count, double* y, std::size_t n) {
+  active::axpy_sequence(alpha, x, count, y, n);
+}
+
+/// First column of an upper-triangle row build with axpy_sequence: row a
+/// of an n x n symmetric matrix needs columns a .. n-1, and starting at
+/// most 8 columns from the end (column 0 when n <= 8) keeps the row in one
+/// unmasked 8-wide register, or two 4-wide ones, wherever the width allows.
+/// The extra columns left of a are scratch that callers mirror over; the
+/// element arithmetic is position-independent, so the start cannot change
+/// any bit.
+inline std::size_t upper_row_start(std::size_t a, std::size_t n) {
+  return n > 8 ? (a < n - 8 ? a : n - 8) : 0;
+}
+
+/// Systems per spd_factor_lanes tile at the active level.
+inline constexpr std::size_t kSpdLanes = active::kSpdLanes;
+
+/// Factor kSpdLanes n x n SPD systems interleaved as
+/// tile[(a * n + b) * kSpdLanes + lane] in place (diagonal + strict upper
+/// triangle; the strict lower triangle is never touched).  Returns the
+/// bit mask of lanes whose factorisation failed (a pivot <= 0 or
+/// non-finite); a failed lane's tile and solutions are garbage.
+inline unsigned spd_factor_lanes(double* tile, std::size_t n) {
+  return active::spd_factor_lanes(tile, n);
+}
+
+/// Solve every lane of a spd_factor_lanes tile: rhs[a * kSpdLanes + lane]
+/// holds lane's b on entry and its solution on exit.
+inline void spd_solve_lanes(const double* tile, double* rhs, std::size_t n) {
+  active::spd_solve_lanes(tile, rhs, n);
 }
 
 }  // namespace iup::linalg::kernels

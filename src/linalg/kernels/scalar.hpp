@@ -10,6 +10,7 @@
 // dispatch header (kernels/kernels.hpp) states the exact contract.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 namespace iup::linalg::kernels::scalar {
@@ -31,23 +32,6 @@ inline void axpy(double alpha, const double* x, double* y, std::size_t n) {
 inline void axpy2(double a, const double* x, double b, const double* y,
                   double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] += a * x[i] + b * y[i];
-}
-
-/// Rank-1 update of the upper triangle of a row-major n x n matrix with
-/// leading dimension ld:  q(a, b) += (weight * v[a]) * v[b] for b >= a.
-/// Entries strictly below the diagonal are UNSPECIFIED after the call
-/// (this level leaves them untouched; the AVX2 level streams full rows) —
-/// callers mirror the upper triangle down before consuming.  Rows whose
-/// scaled pivot weight*v[a] is exactly zero are skipped — an exact no-op
-/// on finite data (see kernels.hpp).
-inline void add_outer_upper(double weight, const double* v, std::size_t n,
-                            double* q, std::size_t ld) {
-  for (std::size_t a = 0; a < n; ++a) {
-    const double va = weight * v[a];
-    if (va == 0.0) continue;
-    double* q_row = q + a * ld;
-    for (std::size_t b = a; b < n; ++b) q_row[b] += va * v[b];
-  }
 }
 
 /// sum_i x[i]^2.
@@ -91,6 +75,55 @@ inline void dot_panel(const double* a, const double* b, std::size_t ldb,
     const double ap = a[p];
     const double* row = b + p * ldb;
     for (std::size_t c = 0; c < k; ++c) out[c] += ap * row[c];
+  }
+}
+
+/// Ordered axpy sequence: y += alpha[t] * x[t] for t = 0 .. count-1 in
+/// order, bit for bit the repeated axpy() calls — at this level it IS that
+/// loop (the same `y[i] += alpha * x[i]` expression, so whatever FP
+/// contraction the compiler applies to axpy applies here too).
+inline void axpy_sequence(const double* alpha, const double* const* x,
+                          std::size_t count, double* y, std::size_t n) {
+  for (std::size_t t = 0; t < count; ++t) axpy(alpha[t], x[t], y, n);
+}
+
+/// Systems per lane tile of spd_factor_lanes / spd_solve_lanes.
+inline constexpr std::size_t kSpdLanes = 1;
+
+/// Lane-batched SPD factorisation a = R^T R of kSpdLanes n x n systems
+/// interleaved as tile[(a * n + b) * kSpdLanes + lane]; reads and writes
+/// the diagonal and strict upper triangle only.  Returns the mask of
+/// failed lanes (a pivot <= 0 or non-finite).  With one lane this is
+/// linalg::cholesky_upper_in_place's loop verbatim.
+inline unsigned spd_factor_lanes(double* tile, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    double* row_j = tile + j * n;
+    const double diag = row_j[j];
+    if (diag <= 0.0 || !std::isfinite(diag)) return 1u;
+    const double rjj = std::sqrt(diag);
+    row_j[j] = rjj;
+    for (std::size_t k = j + 1; k < n; ++k) row_j[k] /= rjj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      axpy(-row_j[i], row_j + i, tile + i * n + i, n - i);
+    }
+  }
+  return 0u;
+}
+
+/// Solve against a spd_factor_lanes tile: rhs[a * kSpdLanes + lane] holds
+/// b on entry and x on exit.  With one lane this is
+/// linalg::solve_factored_spd's loop verbatim.
+inline void spd_solve_lanes(const double* tile, double* rhs, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* row_j = tile + j * n;
+    const double yj = rhs[j] / row_j[j];
+    rhs[j] = yj;
+    if (j + 1 < n) axpy(-yj, row_j + j + 1, rhs + j + 1, n - j - 1);
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    const double* row_i = tile + i * n;
+    const double acc = rhs[i] - dot(row_i + i + 1, rhs + i + 1, n - i - 1);
+    rhs[i] = acc / row_i[i];
   }
 }
 

@@ -386,21 +386,34 @@ void gram_into(const Matrix& a, Matrix& out) {
   check_not_aliased(out, a, a, "gram_into");
   const std::size_t n = a.cols();
   out.resize(n, n, 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const auto r = a.row_span(i);
-    // One rank-1 update of the upper triangle per row of a (suffix axpys).
-    kernels::add_outer_upper(1.0, r.data(), n, out.data().data(), n);
+  // Upper-triangle row p = sum over the rows i of a, ascending, of
+  // a(i, p) * a_i, skipping a(i, p) == 0 — per element the sequence of
+  // one rank-1 update per row of a — as one ordered axpy_sequence per
+  // output row, so factor-width rows (the sweep's L^T L, R^T R and Theta
+  // grams) stay in registers.  Terms are issued in chunks.
+  constexpr std::size_t kChunk = 32;
+  double alpha[kChunk] = {};
+  const double* x[kChunk] = {};
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t s = kernels::upper_row_start(p, n);
+    double* row = out.row_span(p).data() + s;
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const double* ai = a.row_span(i).data();
+      if (ai[p] == 0.0) continue;
+      alpha[k] = ai[p];
+      x[k] = ai + s;
+      if (++k == kChunk) {
+        kernels::axpy_sequence(alpha, x, k, row, n - s);
+        k = 0;
+      }
+    }
+    kernels::axpy_sequence(alpha, x, k, row, n - s);
   }
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t q = 0; q < p; ++q) out(p, q) = out(q, p);
   }
 }
 
-void add_scaled(Matrix& y, double alpha, const Matrix& x) {
-  if (y.rows() != x.rows() || y.cols() != x.cols()) {
-    throw std::invalid_argument("add_scaled: shape mismatch");
-  }
-  kernels::axpy(alpha, x.data().data(), y.data().data(), y.size());
-}
 
 }  // namespace iup::linalg

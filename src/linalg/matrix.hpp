@@ -206,7 +206,4 @@ void transpose_into(const Matrix& a, Matrix& out);
 /// out = a^T * a (the Gram matrix of a's columns).
 void gram_into(const Matrix& a, Matrix& out);
 
-/// y += alpha * x (same shape), without the temporary of y += alpha * x.
-void add_scaled(Matrix& y, double alpha, const Matrix& x);
-
 }  // namespace iup::linalg

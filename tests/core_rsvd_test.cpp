@@ -286,7 +286,9 @@ TEST(SelfAugmented, ConstraintAblationOrderingGaussSeidel) {
 TEST(SelfAugmented, PaperLiteralModeStillBeatsBasicRsvd) {
   // The published C4=C5=0 curvature acts as absolute shrinkage of the
   // largely-decrease entries, so it is only stable with weights far below
-  // the Gauss-Seidel mode (DESIGN.md Sec. 5 discusses the repair).
+  // the Gauss-Seidel mode (the repair comment at the top of
+  // core/self_augmented.cpp and the README's "Repairs to the published
+  // Algorithm 1" discuss it).
   const auto r = run_ablation(Constraint2Mode::kPaperLiteral, 0.01, 0.01);
   EXPECT_GT(r.rsvd, r.c1);
   EXPECT_LT(r.c1c2, r.rsvd);

@@ -114,23 +114,6 @@ TEST(GramInto, MatchesGramAndTransposeProduct) {
   test::expect_matrix_near(g, a.transpose() * a, 1e-12);
 }
 
-TEST(AddScaled, MatchesOperatorExpression) {
-  rng::Rng rng(16);
-  const Matrix x = test::random_matrix(9, 9, rng);
-  Matrix y = test::random_matrix(9, 9, rng);
-  const Matrix expected = y + 0.37 * x;
-  add_scaled(y, 0.37, x);
-  if (kernels::active_level() == kernels::Level::kScalar) {
-    // Scalar level: same two-rounding mul+add as the operator chain.
-    EXPECT_EQ(y, expected);
-  } else {
-    // SIMD levels contract to FMA (one rounding per element).
-    test::expect_matrix_near(y, expected, 1e-12);
-  }
-  Matrix wrong(3, 3);
-  EXPECT_THROW(add_scaled(wrong, 1.0, x), std::invalid_argument);
-}
-
 TEST(CopyColRowInto, MatchCopyingAccessors) {
   rng::Rng rng(17);
   const Matrix a = test::random_matrix(6, 4, rng);

@@ -10,8 +10,10 @@
 // element, reductions by the two-lane accumulator reorder.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/kernels/gemm.hpp"
@@ -167,27 +169,6 @@ TEST(KernelNorms, ReductionsMatchScalarAndShareTreeShape) {
   }
 }
 
-TEST(KernelAddOuter, UpperTriangleMatchesScalar) {
-  rng::Rng rng(107);
-  for (const std::size_t n : {1ul, 2ul, 3ul, 5ul, 8ul, 11ul, 16ul}) {
-    const auto v = random_vec(n, rng);
-    const auto seed = random_vec(n * n, rng);
-    auto got = seed;
-    auto ref = seed;
-    add_outer_upper(0.83, v.data(), n, got.data(), n);
-    scalar::add_outer_upper(0.83, v.data(), n, ref.data(), n);
-    // Contract: only the diagonal and upper triangle are specified; the
-    // AVX2 level also touches the lower triangle (full-row streaming).
-    for (std::size_t a = 0; a < n; ++a) {
-      for (std::size_t b = a; b < n; ++b) {
-        EXPECT_NEAR(got[a * n + b], ref[a * n + b],
-                    1e-14 * (std::abs(ref[a * n + b]) + 1.0))
-            << n << " @" << a << "," << b;
-      }
-    }
-  }
-}
-
 TEST(KernelGemm, AccumulatesAscendingKAtTheActiveLevel) {
   // Contract: every output element is a single accumulator fed ascending
   // k with the active level's element arithmetic — FMA at kAvx2, mul+add
@@ -303,6 +284,71 @@ TEST(KernelContract, ZeroSkipIsExactOnFiniteData) {
   const auto without = with;
   axpy(0.0, x.data(), with.data(), n);
   EXPECT_EQ(with, without);
+}
+
+/// Bit patterns, so that -0.0 vs +0.0 counts as a difference.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i] = std::bit_cast<std::uint64_t>(v[i]);
+  }
+  return out;
+}
+
+TEST(KernelAxpySequence, BitIdenticalToRepeatedAxpy) {
+  // The register-resident sequence must reproduce the level's axpy chain
+  // per element, across the 8/16-wide register boundaries and the >16
+  // fallback, with exact zero and negative-zero alphas and -0.0 entries in
+  // the accumulator (0 * x added to -0.0 must leave +0.0 exactly as the
+  // memory loop does).
+  rng::Rng rng(113);
+  for (std::size_t n = 1; n <= 20; ++n) {
+    for (const std::size_t count : {0ul, 1ul, 2ul, 5ul, 9ul}) {
+      std::vector<double> alpha(count);
+      std::vector<std::vector<double>> xs(count);
+      std::vector<const double*> x(count);
+      for (std::size_t t = 0; t < count; ++t) {
+        alpha[t] = t % 4 == 1 ? 0.0 : t % 4 == 3 ? -0.0 : rng.normal();
+        xs[t] = random_vec(n, rng);
+        x[t] = xs[t].data();
+      }
+      auto y = random_vec(n, rng);
+      for (std::size_t i = 0; i < n; i += 3) y[i] = -0.0;
+      auto expect = y;
+      for (std::size_t t = 0; t < count; ++t) {
+        axpy(alpha[t], x[t], expect.data(), n);
+      }
+      axpy_sequence(alpha.data(), x.data(), count, y.data(), n);
+      EXPECT_EQ(bits(y), bits(expect)) << "n=" << n << " count=" << count;
+    }
+  }
+}
+
+TEST(KernelAxpySequence, GramIntoMatchesRankOneLoop) {
+  // gram_into's register rows against one rank-1 update of the upper
+  // triangle per row of a (row-suffix axpys, zero pivots skipped), with
+  // exact-zero pivots and widths on both sides of the register boundary.
+  rng::Rng rng(114);
+  for (const std::size_t n : {1ul, 3ul, 7ul, 8ul, 9ul, 12ul, 16ul, 17ul}) {
+    for (const std::size_t rows : {1ul, 6ul, 40ul, 70ul}) {
+      Matrix a = test::random_matrix(rows, n, rng);
+      for (std::size_t i = 0; i < rows; i += 4) a(i, (i / 4) % n) = 0.0;
+      Matrix expect(n, n, 0.0);
+      for (std::size_t i = 0; i < rows; ++i) {
+        const double* ai = a.row_span(i).data();
+        for (std::size_t p = 0; p < n; ++p) {
+          if (ai[p] == 0.0) continue;
+          axpy(ai[p], ai + p, expect.row_span(p).data() + p, n - p);
+        }
+      }
+      for (std::size_t p = 0; p < n; ++p) {
+        for (std::size_t q = 0; q < p; ++q) expect(p, q) = expect(q, p);
+      }
+      Matrix got;
+      gram_into(a, got);
+      EXPECT_EQ(got, expect) << "n=" << n << " rows=" << rows;
+    }
+  }
 }
 
 }  // namespace
