@@ -3,12 +3,12 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
-#include <stdexcept>
 #include <utility>
 
 #include "baselines/rass.hpp"
 #include "core/lrr.hpp"
 #include "core/mic.hpp"
+#include "core/self_augmented.hpp"
 #include "loc/knn.hpp"
 #include "loc/omp.hpp"
 #include "parallel/thread_pool.hpp"
@@ -64,18 +64,10 @@ std::unique_ptr<loc::Localizer> make_localizer(
 Engine::Engine(EngineConfig config)
     : config_(std::move(config)),
       hooks_(config_.update_hooks()),
-      store_(config_.history_limit()) {
-  backend_ = config_.solver_backend();
-  if (backend_ == nullptr) {
-    backend_ = make_backend(config_.solver_name(), config_.rsvd());
-  }
-  if (backend_ == nullptr) {
-    throw std::invalid_argument("Engine: unknown solver backend '" +
-                                config_.solver_name() + "'");
-  }
-  warm_start_enabled_ = config_.warm_start() && backend_->uses_warm_start();
-  lrr_warm_enabled_ = config_.lrr_warm_start();
-}
+      warm_start_enabled_(config_.rsvd().init ==
+                          core::FactorInit::kWarmStart),
+      lrr_warm_enabled_(config_.lrr_warm_start()),
+      store_(config_.history_limit()) {}
 
 std::shared_ptr<const core::LrrWarmStart> Engine::lrr_warm_for(
     const std::string& site, std::uint64_t version) const {
@@ -165,9 +157,23 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
         " is not a multiple of the link count " +
         std::to_string(x_original.rows()) + " (band layout)");
   }
-  if (!all_finite(x_original) || !all_finite(b_mask)) {
+  if (!all_finite(x_original)) {
     return Status::invalid_argument(
         "register_site: survey matrix contains non-finite entries");
+  }
+  // B is an index matrix (Eq. 8): the sweep treats any nonzero entry as
+  // observed while the objective's data term scales by the entry, so a
+  // fractional entry would make the two disagree.
+  for (std::size_t i = 0; i < b_mask.rows(); ++i) {
+    for (std::size_t j = 0; j < b_mask.cols(); ++j) {
+      const double v = b_mask(i, j);
+      if (v != 0.0 && v != 1.0) {
+        return Status::invalid_argument(
+            "register_site: mask entry (link " + std::to_string(i) +
+            ", cell " + std::to_string(j) + ") is " + std::to_string(v) +
+            "; B must be 0 or 1");
+      }
+    }
   }
   // Source-table hygiene (multi-radio model): one entry per link, every
   // id specified and unique.  An empty table is the legacy degenerate
@@ -202,7 +208,7 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
   linalg::Matrix z;
   std::shared_ptr<const core::LrrWarmStart> lrr_state;
   try {
-    mic = core::extract_mic(x_original, config_.mic_strategy());
+    mic = core::extract_mic(x_original);
     if (mic.reference_cells.empty()) {
       return Status::invalid_argument(
           "register_site: fingerprint matrix has rank 0, no reference "
@@ -349,12 +355,8 @@ Result<std::vector<SourceInfo>> Engine::sources(
 }
 
 Status Engine::set_reference_cells(const std::string& site,
-                                   std::vector<CellId> cells) {
-  return set_reference_cells_impl(site, to_raw_cells(cells));
-}
-
-Status Engine::set_reference_cells_impl(const std::string& site,
-                                        std::vector<std::size_t> cells) {
+                                   std::vector<CellId> ids) {
+  std::vector<std::size_t> cells = to_raw_cells(ids);
   Result<SnapshotPtr> latest = snapshot(site);
   if (!latest.ok()) return latest.status();
   const SnapshotPtr& snap = latest.value();
@@ -489,7 +491,7 @@ Result<UpdateResult> Engine::solve_request(const FingerprintSnapshot& snap,
   core::RsvdProblem problem;
   problem.x_b = inputs.x_b;
   problem.b = mask;
-  if (backend_->uses_correlation()) {
+  if (config_.rsvd().use_constraint1) {
     problem.p = inputs.x_r * snap.correlation();
   }
   if (warm_start_enabled_) {
@@ -509,10 +511,10 @@ Result<UpdateResult> Engine::solve_request(const FingerprintSnapshot& snap,
 
   UpdateResult result;
   try {
-    result.solver = backend_->solve(problem, snap.layout());
+    const core::SelfAugmentedRsvd solver(snap.layout(), config_.rsvd());
+    result.solver = solver.solve(problem);
   } catch (const std::exception& e) {
-    return Status::internal("solver backend '" + backend_->name() +
-                            "' failed: " + e.what());
+    return Status::internal(std::string("solver failed: ") + e.what());
   }
   result.reference_count = snap.reference_cells().size();
   result.base_version = snap.version();
@@ -569,7 +571,7 @@ Result<SiteHealth> Engine::site_health(const std::string& site) const {
   if (shard == nullptr) {
     return Status::not_found("site_health: unknown site '" + site + "'");
   }
-  SiteHealth out;
+  SiteHealth out{shard->health().sample()};
   if (const serve::PublishedPtr bundle = shard->published();
       bundle != nullptr && bundle->snapshot != nullptr) {
     out.serving_version = bundle->snapshot->version();
@@ -581,34 +583,9 @@ Result<SiteHealth> Engine::site_health(const std::string& site) const {
       out.latest_version = store_.next_version(site) - 1;
     }
   }
-  const serve::SiteHealthCounters& h = shard->health();
-  const auto get = [](const std::atomic<std::uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
-  out.state =
-      static_cast<serve::SiteState>(h.state.load(std::memory_order_relaxed));
-  out.last_observed_day = get(h.last_observed_day);
   out.staleness_days = out.last_observed_day > out.serving_day
                            ? out.last_observed_day - out.serving_day
                            : 0;
-  out.updates_ok = get(h.updates_ok);
-  out.updates_failed = get(h.updates_failed);
-  out.update_attempts = get(h.update_attempts);
-  out.consecutive_failures = get(h.consecutive_failures);
-  out.drift_triggers = get(h.drift_triggers);
-  out.deadline_trips = get(h.deadline_trips);
-  out.breaker_trips = get(h.breaker_trips);
-  out.recoveries = get(h.recoveries);
-  out.observations_accepted = get(h.observations_accepted);
-  out.quarantine_non_finite = get(h.quarantine_non_finite);
-  out.quarantine_out_of_range = get(h.quarantine_out_of_range);
-  out.quarantine_unknown_link = get(h.quarantine_unknown_link);
-  out.quarantine_unknown_cell = get(h.quarantine_unknown_cell);
-  out.quarantine_unknown_source = get(h.quarantine_unknown_source);
-  out.quarantine_overflow = get(h.quarantine_overflow);
-  out.spd_cholesky_failures = get(h.spd_cholesky_failures);
-  out.spd_bump_recoveries = get(h.spd_bump_recoveries);
-  out.spd_lu_fallbacks = get(h.spd_lu_fallbacks);
   return out;
 }
 

@@ -4,9 +4,10 @@
 // history of immutable FingerprintSnapshots in a SnapshotStore.  Per site
 // it runs the paper's loop: MIC reference selection + LRR correlation at
 // registration, then low-cost updates that reconstruct the database from
-// fresh X_B / X_R through a pluggable SolverBackend, and localization over
-// the latest database.  Every entry point validates its inputs and returns
-// Status / Result<T>; exceptions never cross this boundary.
+// fresh X_B / X_R through the self-augmented RSVD (Algorithm 1, configured
+// by EngineConfig::rsvd), and localization over the latest database.
+// Every entry point validates its inputs and returns Status / Result<T>;
+// exceptions never cross this boundary.
 //
 // Serving architecture (src/serve/): each site is backed by a SiteShard
 // whose published {snapshot, localizer} bundle is swapped RCU-style by the
@@ -25,8 +26,9 @@
 // localizer (whose construction builds the matching dictionary) lives in
 // the published bundle, and each commit caches its converged solver factor
 // in the site's shard as a versioned warm start for the next solve of the
-// same snapshot (EngineConfig::warm_start, on by default), skipping the
-// per-update initialisation SVD.
+// same snapshot (whenever EngineConfig::rsvd().init is
+// FactorInit::kWarmStart, the default), skipping the per-update
+// initialisation SVD.
 //
 // Parallelism has one grain: EngineConfig::threads(n) is how many
 // independent work items run at once.  update_batch parallelises across
@@ -80,50 +82,18 @@ struct UpdateRequest {
   std::size_t day = 0;        ///< timestamp label carried into the snapshot
 };
 
-/// One-call health/staleness introspection for a site: a plain-value
-/// snapshot of its serve::SiteHealthCounters plus the serving metadata a
-/// degraded site keeps publishing (which version is served, how stale it
-/// is against the observation stream).  Counters are relaxed-atomic
-/// tallies sampled individually, so fields may be mutually skewed by
-/// in-flight updates — a monitoring surface, not a transaction.
-struct SiteHealth {
-  serve::SiteState state = serve::SiteState::kHealthy;
+/// One-call health/staleness introspection for a site: a sampled copy of
+/// its serve::SiteHealthCounters plus the serving metadata a degraded site
+/// keeps publishing (which version is served, how stale it is against the
+/// observation stream).  Counters are relaxed-atomic tallies sampled
+/// individually, so fields may be mutually skewed by in-flight updates —
+/// a monitoring surface, not a transaction.
+struct SiteHealth : serve::HealthValues {
   std::uint64_t serving_version = 0;  ///< published bundle's version
   std::size_t serving_day = 0;        ///< published bundle's day label
   std::uint64_t latest_version = 0;   ///< store's newest committed version
-  /// Largest day label seen on the site's observation stream; together
-  /// with serving_day this is the staleness a degraded site serves under.
-  std::uint64_t last_observed_day = 0;
   /// last_observed_day - serving_day when the stream is ahead, else 0.
   std::uint64_t staleness_days = 0;
-
-  std::uint64_t updates_ok = 0;
-  std::uint64_t updates_failed = 0;
-  std::uint64_t update_attempts = 0;
-  std::uint64_t consecutive_failures = 0;
-  std::uint64_t drift_triggers = 0;
-  std::uint64_t deadline_trips = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t recoveries = 0;
-
-  std::uint64_t observations_accepted = 0;
-  std::uint64_t quarantine_non_finite = 0;
-  std::uint64_t quarantine_out_of_range = 0;
-  std::uint64_t quarantine_unknown_link = 0;
-  std::uint64_t quarantine_unknown_cell = 0;
-  std::uint64_t quarantine_unknown_source = 0;
-  std::uint64_t quarantine_overflow = 0;
-  std::uint64_t quarantined_total() const {
-    return quarantine_non_finite + quarantine_out_of_range +
-           quarantine_unknown_link + quarantine_unknown_cell +
-           quarantine_unknown_source + quarantine_overflow;
-  }
-
-  /// Per-site SPD fallback attribution (see serve/health.hpp for the
-  /// concurrent-update attribution caveat).
-  std::uint64_t spd_cholesky_failures = 0;
-  std::uint64_t spd_bump_recoveries = 0;
-  std::uint64_t spd_lu_fallbacks = 0;
 };
 
 struct UpdateResult {
@@ -150,9 +120,6 @@ std::unique_ptr<loc::Localizer> make_localizer(
 
 class Engine {
  public:
-  /// Throws std::invalid_argument when the config names an unknown solver
-  /// backend (a programming error, unlike the data errors below which are
-  /// reported through Status).
   explicit Engine(EngineConfig config = {});
 
   // --- site lifecycle --------------------------------------------------
@@ -223,7 +190,6 @@ class Engine {
 
   const SnapshotStore& store() const { return store_; }
   const EngineConfig& config() const { return config_; }
-  const SolverBackend& solver() const { return *backend_; }
 
   /// The serve-layer registry backing this engine's sites.  The
   /// soak/bench harnesses build on it; shards resolved from it stay valid
@@ -236,11 +202,11 @@ class Engine {
   Result<serve::PublishedPtr> published(const std::string& site) const;
 
   /// Snapshot version the site's cached warm-start factor was derived
-  /// from, or nullopt when the cache is empty (warm_start(false), never
-  /// updated, or dropped).  A cached version older than the site's latest
-  /// snapshot means the next solve re-initialises cold — the cache is
-  /// consulted only when the versions match exactly.  Introspection for
-  /// tests and monitoring.
+  /// from, or nullopt when the cache is empty (rsvd().init is not
+  /// FactorInit::kWarmStart, never updated, or dropped).  A cached version
+  /// older than the site's latest snapshot means the next solve
+  /// re-initialises cold — the cache is consulted only when the versions
+  /// match exactly.  Introspection for tests and monitoring.
   std::optional<std::uint64_t> warm_start_version(
       const std::string& site) const;
 
@@ -277,11 +243,6 @@ class Engine {
   Status restore_from(const std::string& dir);
 
  private:
-  /// Shared body of both set_reference_cells overloads (raw indices are
-  /// the numeric core's vocabulary).
-  Status set_reference_cells_impl(const std::string& site,
-                                  std::vector<std::size_t> cells);
-
   /// Validate `request` against `snapshot` and run the solver, seeding it
   /// from the shard's warm-start cache when the cached version matches.
   Result<UpdateResult> solve_request(const FingerprintSnapshot& snapshot,
@@ -347,9 +308,9 @@ class Engine {
   /// config_.update_hooks(): failure-path seams, empty (never consulted)
   /// by default.
   UpdateHooks hooks_;
-  std::shared_ptr<const SolverBackend> backend_;
-  /// warm_start() requested AND the backend actually consumes problem.l0;
-  /// otherwise the cache is bypassed entirely (no copies, no retention).
+  /// config_.rsvd().init is FactorInit::kWarmStart, so the solver consumes
+  /// problem.l0; otherwise the factor cache is bypassed entirely (no
+  /// copies, no retention).
   bool warm_start_enabled_ = false;
   /// config_.lrr_warm_start(): cache + resume the ADMM state of the
   /// correlation refreshes.

@@ -1,26 +1,27 @@
 // Fluent configuration for iup::api::Engine.
 //
+//   core::RsvdOptions rsvd;
+//   rsvd.w_similarity = 0.0;  // Constraint 2 without adjacent-link similarity
 //   auto engine = api::Engine(api::EngineConfig()
-//                                 .solver("nlc-only")
+//                                 .rsvd(rsvd)
 //                                 .localizer(api::LocalizerKind::kKnn)
 //                                 .refresh_correlation(false));
 //
 // Setters return *this; unset fields keep the paper's defaults (self-
 // augmented RSVD, OMP localization, correlation refreshed on every commit).
+// rsvd() is the whole solver configuration: every solve runs
+// core::SelfAugmentedRsvd with exactly these options.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "api/snapshot.hpp"
-#include "api/solver_backend.hpp"
 #include "api/status.hpp"
 #include "core/lrr.hpp"
-#include "core/mic.hpp"
 #include "core/rsvd.hpp"
 
 namespace iup::api {
@@ -80,6 +81,15 @@ class EngineConfig {
  public:
   EngineConfig() = default;
 
+  /// The reconstruction solver's options.  Constraint 1 (the X_R * Z
+  /// prediction) is built only when use_constraint1 is set, and the
+  /// engine's versioned warm-start cache is used only when init is
+  /// FactorInit::kWarmStart (the default): each commit then caches its
+  /// converged factor as the L0 of the next solve reading that snapshot,
+  /// instead of paying for a fresh initialisation SVD.  The cache changes
+  /// the second-and-later update() iterates relative to a cold start;
+  /// results remain bit-identical across engines replaying the same
+  /// per-site request sequence.
   EngineConfig& rsvd(core::RsvdOptions value) {
     rsvd_ = value;
     return *this;
@@ -88,29 +98,10 @@ class EngineConfig {
     lrr_ = value;
     return *this;
   }
-  EngineConfig& mic_strategy(core::MicStrategy value) {
-    mic_strategy_ = value;
-    return *this;
-  }
   /// Re-derive Z from each committed reconstruction (the paper's "original
   /// or latest updated" phrasing).
   EngineConfig& refresh_correlation(bool value) {
     refresh_correlation_ = value;
-    return *this;
-  }
-  /// Reuse the previous snapshot's converged factor as the solver's L0
-  /// (versioned per-site cache, invalidated whenever the site moves to a
-  /// version the cache was not derived from) instead of paying for a fresh
-  /// warm-start SVD on every update.  Only backends that consume the
-  /// factor participate (FactorInit::kWarmStart).  NOTE: on by default,
-  /// which changes the second-and-later update() iterates (and thus
-  /// committed x_hat values) relative to releases without the cache — the
-  /// solver starts from a different, better L0.  Results remain
-  /// bit-identical across engines replaying the same per-site request
-  /// sequence; set warm_start(false) to reproduce cold-start-era numbers
-  /// exactly.
-  EngineConfig& warm_start(bool value) {
-    warm_start_ = value;
     return *this;
   }
   /// Warm-start each post-commit correlation refresh from the previous
@@ -125,18 +116,6 @@ class EngineConfig {
   /// sequence.  Set false for cold-refresh numbers.
   EngineConfig& lrr_warm_start(bool value) {
     lrr_warm_start_ = value;
-    return *this;
-  }
-  /// Pick a solver by registry name (see make_backend()); resolved against
-  /// the rsvd() options when the engine is constructed.
-  EngineConfig& solver(std::string name) {
-    solver_name_ = std::move(name);
-    solver_backend_.reset();
-    return *this;
-  }
-  /// Inject a concrete backend instance (wins over solver(name)).
-  EngineConfig& solver(std::shared_ptr<const SolverBackend> backend) {
-    solver_backend_ = std::move(backend);
     return *this;
   }
   EngineConfig& localizer(LocalizerKind value) {
@@ -167,14 +146,8 @@ class EngineConfig {
 
   const core::RsvdOptions& rsvd() const { return rsvd_; }
   const core::LrrOptions& lrr() const { return lrr_; }
-  core::MicStrategy mic_strategy() const { return mic_strategy_; }
   bool refresh_correlation() const { return refresh_correlation_; }
-  bool warm_start() const { return warm_start_; }
   bool lrr_warm_start() const { return lrr_warm_start_; }
-  const std::string& solver_name() const { return solver_name_; }
-  const std::shared_ptr<const SolverBackend>& solver_backend() const {
-    return solver_backend_;
-  }
   LocalizerKind localizer() const { return localizer_; }
   std::size_t history_limit() const { return history_limit_; }
   const UpdateHooks& update_hooks() const { return update_hooks_; }
@@ -183,12 +156,8 @@ class EngineConfig {
  private:
   core::RsvdOptions rsvd_;
   core::LrrOptions lrr_;
-  core::MicStrategy mic_strategy_ = core::MicStrategy::kQrcp;
   bool refresh_correlation_ = true;
-  bool warm_start_ = true;
   bool lrr_warm_start_ = true;
-  std::string solver_name_ = "self-augmented";
-  std::shared_ptr<const SolverBackend> solver_backend_;
   LocalizerKind localizer_ = LocalizerKind::kOmp;
   std::size_t history_limit_ = 0;
   std::size_t threads_ = 1;

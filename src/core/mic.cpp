@@ -4,29 +4,18 @@
 #include <stdexcept>
 
 #include "linalg/qr.hpp"
-#include "linalg/rref.hpp"
 
 namespace iup::core {
 
-MicResult extract_mic(const linalg::Matrix& x, MicStrategy strategy,
-                      double rel_tol) {
+MicResult extract_mic(const linalg::Matrix& x, double rel_tol) {
   if (x.empty()) throw std::invalid_argument("extract_mic: empty matrix");
+  const linalg::QrcpResult f = linalg::qr_column_pivoted(x, rel_tol);
   MicResult out;
-  switch (strategy) {
-    case MicStrategy::kRref: {
-      out.reference_cells = linalg::pivot_columns(x, rel_tol);
-      break;
-    }
-    case MicStrategy::kQrcp: {
-      const linalg::QrcpResult f = linalg::qr_column_pivoted(x, rel_tol);
-      out.reference_cells.assign(f.perm.begin(),
-                                 f.perm.begin() + static_cast<long>(f.rank));
-      // Sorted order makes the walk between reference locations shortest
-      // and keeps reports deterministic.
-      std::sort(out.reference_cells.begin(), out.reference_cells.end());
-      break;
-    }
-  }
+  out.reference_cells.assign(f.perm.begin(),
+                             f.perm.begin() + static_cast<long>(f.rank));
+  // Sorted order makes the walk between reference locations shortest and
+  // keeps reports deterministic.
+  std::sort(out.reference_cells.begin(), out.reference_cells.end());
   out.rank = out.reference_cells.size();
   out.x_mic = x.select_columns(out.reference_cells);
   return out;

@@ -11,8 +11,8 @@
 //
 // The pipeline's service entry point is iup::api::Engine
 // (src/api/engine.hpp): versioned snapshots, Status-based error handling,
-// batched updates, warm-start caches and pluggable solver backends.  What
-// remains here is the update-input value type every layer shares.
+// batched updates and warm-start caches.  What remains here is the
+// update-input value type every layer shares.
 #pragma once
 
 #include <vector>

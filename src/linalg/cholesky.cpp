@@ -91,76 +91,6 @@ bool factor_spd(Matrix& a, std::span<double> diag_scratch) {
   return factor_spd_with_retry(a, diag_scratch);
 }
 
-std::optional<Matrix> cholesky(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("cholesky: matrix must be square");
-  }
-  Matrix l = a;
-  if (!cholesky_in_place(l)) return std::nullopt;
-  // Callers of the allocating API expect a clean lower-triangular matrix.
-  const std::size_t n = l.rows();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
-  }
-  return l;
-}
-
-bool cholesky_in_place(Matrix& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("cholesky_in_place: matrix must be square");
-  }
-  const std::size_t n = a.rows();
-  // The k-prefix reductions run through the kernel layer (both operands
-  // are contiguous row prefixes of the factored L).  Subtracting the
-  // reduced sum once instead of term by term changes the factor at ulp
-  // magnitude relative to pre-kernel releases — deterministically per
-  // build, identically at every thread count.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double* row_j = a.row_span(j).data();
-    const double diag = a(j, j) - kernels::norm_sq(row_j, j);
-    if (diag <= 0.0 || !std::isfinite(diag)) return false;
-    const double ljj = std::sqrt(diag);
-    a(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      const double acc =
-          a(i, j) - kernels::dot(a.row_span(i).data(), row_j, j);
-      a(i, j) = acc / ljj;
-    }
-  }
-  return true;
-}
-
-std::vector<double> cholesky_solve(const Matrix& l,
-                                   std::span<const double> b) {
-  if (b.size() != l.rows()) {
-    throw std::invalid_argument("cholesky_solve: size mismatch");
-  }
-  std::vector<double> x(b.begin(), b.end());
-  cholesky_solve_in_place(l, x);
-  return x;
-}
-
-void cholesky_solve_in_place(const Matrix& l, std::span<double> bx) {
-  const std::size_t n = l.rows();
-  if (bx.size() != n) {
-    throw std::invalid_argument("cholesky_solve_in_place: size mismatch");
-  }
-  // L y = b: forward substitution, y overwrites b entry by entry; the
-  // row-prefix reduction is contiguous on both sides and runs through the
-  // kernel layer.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double acc =
-        bx[i] - kernels::dot(l.row_span(i).data(), bx.data(), i);
-    bx[i] = acc / l(i, i);
-  }
-  // L^T x = y: back substitution, x overwrites y.
-  for (std::size_t i = n; i-- > 0;) {
-    double acc = bx[i];
-    for (std::size_t j = i + 1; j < n; ++j) acc -= l(j, i) * bx[j];
-    bx[i] = acc / l(i, i);
-  }
-}
-
 void solve_factored_spd(const Matrix& r, std::span<double> bx) {
   const std::size_t n = r.rows();
   if (bx.size() != n) {
@@ -256,26 +186,6 @@ std::vector<double> solve_spd(const Matrix& a, std::span<const double> b) {
   std::vector<double> diag(a.rows());
   solve_spd_into(work, bx, diag);
   return bx;
-}
-
-Matrix solve_spd(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("solve_spd: row count mismatch");
-  }
-  Matrix work = a;
-  std::vector<double> diag(a.rows());
-  if (factor_spd_with_retry(work, diag)) {
-    Matrix x(a.cols(), b.cols());
-    std::vector<double> col(b.rows());
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      b.copy_col_into(j, col);
-      solve_factored_spd(work, col);
-      x.set_col(j, col);
-    }
-    return x;
-  }
-  g_lu_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  return solve(a, b);
 }
 
 SpdStats spd_stats() {

@@ -1,9 +1,10 @@
 // LU factorisation with partial pivoting, linear solves and inverses.
 //
-// Algorithm 1's per-column update (Eq. 24) inverts an r x r SPD-ish system
-// for every grid column; the LRR Z-update inverts (I + A^T A).  Both go
-// through `solve` / `inverse` here (Cholesky is used where SPD structure is
-// guaranteed; LU is the general-purpose fallback).
+// Algorithm 1's per-column systems (Eq. 24) and the LRR Z-update's
+// (I + A^T A) are SPD and solve through linalg/cholesky.hpp; LU is the
+// fallback solve_spd_into pays for when a system turns out indefinite
+// even after the diagonal-bump retries, and the general-purpose solver
+// for everything else.
 #pragma once
 
 #include <vector>

@@ -2,9 +2,8 @@
 //
 // Two flavours are provided:
 //  * plain QR, used by the OMP localizer's least-squares refits;
-//  * column-pivoted (rank-revealing) QR, used as a cross-check for the
-//    RREF-based MIC extraction — the pivot order of QRCP is an independent
-//    way of picking a maximal independent column set.
+//  * column-pivoted (rank-revealing) QR, whose pivot order is the MIC
+//    extraction's maximal independent column set (core/mic.hpp).
 #pragma once
 
 #include <vector>

@@ -10,35 +10,19 @@ namespace iup::persist {
 
 namespace {
 
-void put_health(ByteWriter& writer, const HealthImage& h) {
-  writer.put_u32(h.state);
-  for (const std::uint64_t v :
-       {h.updates_ok, h.updates_failed, h.update_attempts,
-        h.consecutive_failures, h.drift_triggers, h.deadline_trips,
-        h.breaker_trips, h.recoveries, h.observations_accepted,
-        h.quarantine_non_finite, h.quarantine_out_of_range,
-        h.quarantine_unknown_link, h.quarantine_unknown_cell,
-        h.quarantine_unknown_source, h.quarantine_overflow,
-        h.last_observed_day, h.spd_cholesky_failures, h.spd_bump_recoveries,
-        h.spd_lu_fallbacks}) {
-    writer.put_u64(v);
-  }
+void put_health(ByteWriter& writer, const serve::HealthValues& h) {
+  writer.put_u32(static_cast<std::uint32_t>(h.state));
+  serve::for_each_counter([&](std::uint64_t v) { writer.put_u64(v); }, h);
 }
 
-bool get_health(ByteReader& reader, HealthImage& h) {
-  if (!reader.get_u32(h.state)) return false;
-  for (std::uint64_t* v :
-       {&h.updates_ok, &h.updates_failed, &h.update_attempts,
-        &h.consecutive_failures, &h.drift_triggers, &h.deadline_trips,
-        &h.breaker_trips, &h.recoveries, &h.observations_accepted,
-        &h.quarantine_non_finite, &h.quarantine_out_of_range,
-        &h.quarantine_unknown_link, &h.quarantine_unknown_cell,
-        &h.quarantine_unknown_source, &h.quarantine_overflow,
-        &h.last_observed_day, &h.spd_cholesky_failures,
-        &h.spd_bump_recoveries, &h.spd_lu_fallbacks}) {
-    if (!reader.get_u64(*v)) return false;
-  }
-  return true;
+bool get_health(ByteReader& reader, serve::HealthValues& h) {
+  std::uint32_t state = 0;
+  if (!reader.get_u32(state)) return false;
+  h.state = static_cast<serve::SiteState>(state);
+  bool ok = true;
+  serve::for_each_counter(
+      [&](std::uint64_t& v) { ok = ok && reader.get_u64(v); }, h);
+  return ok;
 }
 
 void put_site(ByteWriter& writer, const SiteImage& site) {

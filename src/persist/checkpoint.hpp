@@ -41,6 +41,7 @@
 #include "core/lrr.hpp"
 #include "linalg/matrix.hpp"
 #include "persist/io.hpp"
+#include "serve/health.hpp"
 
 namespace iup::persist {
 
@@ -61,32 +62,6 @@ struct WarmImage {
   std::shared_ptr<const core::LrrWarmStart> lrr;
 };
 
-/// Plain-value copy of serve::SiteHealthCounters (the atomics sampled
-/// relaxed, restored with relaxed stores).  Field order is the wire
-/// order.
-struct HealthImage {
-  std::uint32_t state = 0;
-  std::uint64_t updates_ok = 0;
-  std::uint64_t updates_failed = 0;
-  std::uint64_t update_attempts = 0;
-  std::uint64_t consecutive_failures = 0;
-  std::uint64_t drift_triggers = 0;
-  std::uint64_t deadline_trips = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t observations_accepted = 0;
-  std::uint64_t quarantine_non_finite = 0;
-  std::uint64_t quarantine_out_of_range = 0;
-  std::uint64_t quarantine_unknown_link = 0;
-  std::uint64_t quarantine_unknown_cell = 0;
-  std::uint64_t quarantine_unknown_source = 0;
-  std::uint64_t quarantine_overflow = 0;
-  std::uint64_t last_observed_day = 0;
-  std::uint64_t spd_cholesky_failures = 0;
-  std::uint64_t spd_bump_recoveries = 0;
-  std::uint64_t spd_lu_fallbacks = 0;
-};
-
 /// One checkpointed site: the retained chain (oldest first, contiguous
 /// versions — may start above 1 after history-limit eviction), the
 /// version its serving bundle published, and the cache/health state.
@@ -95,7 +70,7 @@ struct SiteImage {
   std::uint64_t serving_version = 0;
   std::vector<api::SnapshotPtr> chain;
   WarmImage warm;
-  HealthImage health;
+  serve::HealthValues health;
 };
 
 /// Everything a checkpoint holds, sites sorted by name (deterministic

@@ -14,61 +14,6 @@
 
 namespace iup::api {
 
-namespace {
-
-persist::HealthImage sample_health(const serve::SiteHealthCounters& h) {
-  persist::HealthImage out;
-  const auto relaxed = std::memory_order_relaxed;
-  out.state = h.state.load(relaxed);
-  out.updates_ok = h.updates_ok.load(relaxed);
-  out.updates_failed = h.updates_failed.load(relaxed);
-  out.update_attempts = h.update_attempts.load(relaxed);
-  out.consecutive_failures = h.consecutive_failures.load(relaxed);
-  out.drift_triggers = h.drift_triggers.load(relaxed);
-  out.deadline_trips = h.deadline_trips.load(relaxed);
-  out.breaker_trips = h.breaker_trips.load(relaxed);
-  out.recoveries = h.recoveries.load(relaxed);
-  out.observations_accepted = h.observations_accepted.load(relaxed);
-  out.quarantine_non_finite = h.quarantine_non_finite.load(relaxed);
-  out.quarantine_out_of_range = h.quarantine_out_of_range.load(relaxed);
-  out.quarantine_unknown_link = h.quarantine_unknown_link.load(relaxed);
-  out.quarantine_unknown_cell = h.quarantine_unknown_cell.load(relaxed);
-  out.quarantine_unknown_source = h.quarantine_unknown_source.load(relaxed);
-  out.quarantine_overflow = h.quarantine_overflow.load(relaxed);
-  out.last_observed_day = h.last_observed_day.load(relaxed);
-  out.spd_cholesky_failures = h.spd_cholesky_failures.load(relaxed);
-  out.spd_bump_recoveries = h.spd_bump_recoveries.load(relaxed);
-  out.spd_lu_fallbacks = h.spd_lu_fallbacks.load(relaxed);
-  return out;
-}
-
-void restore_health(const persist::HealthImage& image,
-                    serve::SiteHealthCounters& h) {
-  const auto relaxed = std::memory_order_relaxed;
-  h.state.store(image.state, relaxed);
-  h.updates_ok.store(image.updates_ok, relaxed);
-  h.updates_failed.store(image.updates_failed, relaxed);
-  h.update_attempts.store(image.update_attempts, relaxed);
-  h.consecutive_failures.store(image.consecutive_failures, relaxed);
-  h.drift_triggers.store(image.drift_triggers, relaxed);
-  h.deadline_trips.store(image.deadline_trips, relaxed);
-  h.breaker_trips.store(image.breaker_trips, relaxed);
-  h.recoveries.store(image.recoveries, relaxed);
-  h.observations_accepted.store(image.observations_accepted, relaxed);
-  h.quarantine_non_finite.store(image.quarantine_non_finite, relaxed);
-  h.quarantine_out_of_range.store(image.quarantine_out_of_range, relaxed);
-  h.quarantine_unknown_link.store(image.quarantine_unknown_link, relaxed);
-  h.quarantine_unknown_cell.store(image.quarantine_unknown_cell, relaxed);
-  h.quarantine_unknown_source.store(image.quarantine_unknown_source, relaxed);
-  h.quarantine_overflow.store(image.quarantine_overflow, relaxed);
-  h.last_observed_day.store(image.last_observed_day, relaxed);
-  h.spd_cholesky_failures.store(image.spd_cholesky_failures, relaxed);
-  h.spd_bump_recoveries.store(image.spd_bump_recoveries, relaxed);
-  h.spd_lu_fallbacks.store(image.spd_lu_fallbacks, relaxed);
-}
-
-}  // namespace
-
 persist::EngineImage Engine::collect_persist_image() const {
   persist::EngineImage image;
   // Chains + serving versions under ONE state-lock hold: the image is
@@ -115,7 +60,7 @@ persist::EngineImage Engine::collect_persist_image() const {
       site.warm.lrr_version = caches.lrr_version;
       site.warm.lrr = caches.lrr;
     }
-    site.health = sample_health(shard->health());
+    site.health = shard->health().sample();
   }
   return image;
 }
@@ -163,7 +108,7 @@ Status Engine::install_restored_site(persist::SiteImage image) {
     caches.lrr_version = image.warm.lrr_version;
     caches.lrr = image.warm.lrr;
   }
-  restore_health(image.health, shard->health());
+  shard->health().restore(image.health);
   return {};
 }
 

@@ -1,5 +1,5 @@
 // The service facade: snapshot versioning, Status/Result error paths,
-// pluggable solver backends and batched entry points.
+// solver configuration and batched entry points.
 #include "api/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -49,6 +49,29 @@ TEST(EngineRegistration, RejectsMalformedSites) {
   const auto duplicate =
       engine.register_site("office", run.ground_truth.at_day(0), run.b_mask);
   EXPECT_EQ(duplicate.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(EngineRegistration, RejectsMaskEntriesOtherThanZeroOrOne) {
+  // B is a 0/1 index matrix (Eq. 8): the sweep would treat 0.5 as
+  // observed while the objective scaled the data term by it.
+  const auto& run = iup::test::office_run();
+  Engine engine;
+  for (const double bad : {0.5, 2.0, -1.0}) {
+    linalg::Matrix mask = run.b_mask;
+    mask(2, 5) = bad;
+    const auto rejected =
+        engine.register_site("office", run.ground_truth.at_day(0), mask);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(rejected.status().message().find("(link 2, cell 5)"),
+              std::string::npos)
+        << rejected.status().message();
+    EXPECT_FALSE(engine.store().contains("office"));
+  }
+  linalg::Matrix signed_zero = run.b_mask;
+  signed_zero(2, 5) = -0.0;
+  EXPECT_TRUE(
+      engine.register_site("office", run.ground_truth.at_day(0), signed_zero)
+          .ok());
 }
 
 TEST(EngineRegistration, UnknownSiteIsNotFound) {
@@ -237,23 +260,14 @@ TEST(EngineSnapshots, ReferenceOverrideCommitsNewCorrelation) {
   EXPECT_EQ(rep.value().reference_count, 9u);
 }
 
-TEST(EngineBackends, RegistryNamesResolve) {
-  for (const std::string& name : backend_names()) {
-    const auto backend = make_backend(name);
-    ASSERT_NE(backend, nullptr) << name;
-    EXPECT_EQ(backend->name(), name);
-  }
-  EXPECT_EQ(make_backend("no-such-solver"), nullptr);
-  EXPECT_THROW(Engine(EngineConfig().solver("no-such-solver")),
-               std::invalid_argument);
-}
-
-TEST(EngineBackends, BackendSelectionChangesTheSolve) {
+TEST(EngineSolver, RsvdOptionsChangeTheSolve) {
   const auto& run = iup::test::office_run();
   Engine full = office_engine(run);
-  Engine basic = office_engine(run, EngineConfig().solver("basic-rsvd"));
-  EXPECT_EQ(full.solver().name(), "self-augmented");
-  EXPECT_EQ(basic.solver().name(), "basic-rsvd");
+  // Both constraints off: the basic RSVD completion (Eq. 11).
+  core::RsvdOptions unconstrained;
+  unconstrained.use_constraint1 = false;
+  unconstrained.use_constraint2 = false;
+  Engine basic = office_engine(run, EngineConfig().rsvd(unconstrained));
 
   const auto cells = full.reference_cells("office").value();
   const auto request = eval::collect_update_request(run, "office", cells, 45);

@@ -13,21 +13,19 @@ namespace {
 TEST(Mic, CountEqualsRankOnSyntheticLowRank) {
   rng::Rng rng(51);
   const auto x = iup::test::random_low_rank(6, 30, 4, rng);
-  for (auto strategy : {MicStrategy::kQrcp, MicStrategy::kRref}) {
-    const auto mic = extract_mic(x, strategy);
-    EXPECT_EQ(mic.rank, 4u);
-    EXPECT_EQ(mic.reference_cells.size(), 4u);
-    EXPECT_EQ(mic.x_mic.cols(), 4u);
-    // The selected columns must actually span the column space.
-    EXPECT_EQ(linalg::numerical_rank(mic.x_mic, 1e-8), 4u);
-  }
+  const auto mic = extract_mic(x);
+  EXPECT_EQ(mic.rank, 4u);
+  EXPECT_EQ(mic.reference_cells.size(), 4u);
+  EXPECT_EQ(mic.x_mic.cols(), 4u);
+  // The selected columns must actually span the column space.
+  EXPECT_EQ(linalg::numerical_rank(mic.x_mic, 1e-8), 4u);
 }
 
 TEST(Mic, OfficeFingerprintNeedsExactlyMReferences) {
   // Sec. IV-B / Claim 1: the number of reference locations equals the
   // matrix rank, which equals the link count (8 for the office).
   const auto& x = iup::test::office_run().ground_truth.at_day(0);
-  const auto mic = extract_mic(x, MicStrategy::kQrcp, 1e-6);
+  const auto mic = extract_mic(x, 1e-6);
   EXPECT_EQ(mic.reference_cells.size(), 8u);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "core/mic.hpp"
 #include "core/rsvd.hpp"
 #include "core/self_augmented.hpp"
 #include "linalg/norms.hpp"

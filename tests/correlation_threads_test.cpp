@@ -106,21 +106,9 @@ TEST(EngineWarmStartCache, InvalidatedWhenTheSiteMovesWithoutASolve) {
             std::optional<std::uint64_t>{4});
 }
 
-TEST(EngineWarmStartCache, DisabledEngineNeverCaches) {
-  const auto& run = test::office_run();
-  api::Engine engine(api::EngineConfig().warm_start(false));
-  ASSERT_TRUE(eval::register_run(engine, run, "office").ok());
-  const auto cells = engine.reference_cells("office").value();
-  const auto r1 =
-      engine.update(eval::collect_update_request(run, "office", cells, 15));
-  ASSERT_TRUE(r1.ok());
-  EXPECT_FALSE(engine.warm_start_version("office").has_value());
-}
-
-TEST(EngineWarmStartCache, BackendThatIgnoresL0NeverCaches) {
-  // A kRandom-init solver never consumes problem.l0
-  // (SolverBackend::uses_warm_start() is false), so the engine must not
-  // pay for factor copies or retain cache memory for it.
+TEST(EngineWarmStartCache, RandomInitNeverCaches) {
+  // A kRandom-init solver never consumes problem.l0, so the engine must
+  // not pay for factor copies or retain cache memory for it.
   const auto& run = test::office_run();
   core::RsvdOptions options;
   options.init = core::FactorInit::kRandom;

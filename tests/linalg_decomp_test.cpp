@@ -132,21 +132,6 @@ TEST(Lu, DeterminantKnown) {
   EXPECT_DOUBLE_EQ(determinant(Matrix{{1.0, 2.0}, {2.0, 4.0}}), 0.0);
 }
 
-TEST(Cholesky, FactorsSpdMatrix) {
-  rng::Rng rng(11);
-  const Matrix g = random_matrix(5, 5, rng);
-  Matrix spd = g.gram();
-  for (std::size_t i = 0; i < 5; ++i) spd(i, i) += 1.0;
-  const auto l = cholesky(spd);
-  ASSERT_TRUE(l.has_value());
-  expect_matrix_near(*l * l->transpose(), spd, 1e-9);
-}
-
-TEST(Cholesky, RejectsIndefinite) {
-  const Matrix ind{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
-  EXPECT_FALSE(cholesky(ind).has_value());
-}
-
 TEST(Cholesky, SolveMatchesLu) {
   rng::Rng rng(12);
   const Matrix g = random_matrix(6, 6, rng);

@@ -204,6 +204,133 @@ TEST(PersistIo, SnapshotCodecRoundTripsTheMultiRadioTable) {
   EXPECT_EQ(out->sources()[1].technology, Technology::kBle);
 }
 
+// --- pinned wire format -------------------------------------------------
+
+/// One site built from literals only (no solver output), so its encoding
+/// is the same at every kernel dispatch level: a two-version chain with a
+/// source table, both warm caches, and every health counter distinct.
+EngineImage literal_image() {
+  const std::vector<SourceInfo> sources = {
+      SourceInfo{SourceId(11), Technology::kWifi},
+      SourceInfo{SourceId(22), Technology::kBle}};
+  const linalg::Matrix mask{{1.0, 0.0, 1.0, 1.0}, {0.0, 1.0, 1.0, 0.0}};
+  const std::vector<std::size_t> cells = {0, 3};
+  SiteImage site;
+  site.site = "lab";
+  site.serving_version = 2;
+  site.chain.push_back(std::make_shared<api::FingerprintSnapshot>(
+      "lab", 1,
+      linalg::Matrix{{-40.5, -41.25, -52.0, -60.125},
+                     {-45.0, -47.5, -55.75, -58.0}},
+      mask, core::BandLayout{2, 2}, cells,
+      linalg::Matrix{{1.0, 0.5, 0.25, 0.0}, {0.0, 0.125, 0.75, 1.0}},
+      /*day=*/0, sources));
+  site.chain.push_back(std::make_shared<api::FingerprintSnapshot>(
+      "lab", 2,
+      linalg::Matrix{{-41.0, -42.5, -53.25, -61.0},
+                     {-46.5, -48.0, -56.0, -59.5}},
+      mask, core::BandLayout{2, 2}, cells,
+      linalg::Matrix{{0.75, 0.5, -0.25, 0.0}, {0.0, 0.375, 0.5, 1.0}},
+      /*day=*/5, sources));
+  site.warm.factor_version = 2;
+  site.warm.factor = std::make_shared<const linalg::Matrix>(
+      linalg::Matrix{{0.5, -1.5}, {2.25, 3.0}});
+  auto lrr = std::make_shared<core::LrrWarmStart>();
+  lrr->z = linalg::Matrix{{0.75, 0.5, -0.25, 0.0}, {0.0, 0.375, 0.5, 1.0}};
+  lrr->y1 =
+      linalg::Matrix{{0.0625, -0.125, 0.25, -0.5}, {1.0, -2.0, 4.0, -8.0}};
+  lrr->y2 =
+      linalg::Matrix{{-0.0625, 0.125, -0.25, 0.5}, {3.0, 5.0, 7.0, 9.0}};
+  lrr->mu = 0.375;
+  site.warm.lrr_version = 2;
+  site.warm.lrr = lrr;
+  serve::HealthValues& h = site.health;
+  h.state = serve::SiteState::kBackoff;
+  h.updates_ok = 101;
+  h.updates_failed = 102;
+  h.update_attempts = 103;
+  h.consecutive_failures = 104;
+  h.drift_triggers = 105;
+  h.deadline_trips = 106;
+  h.breaker_trips = 107;
+  h.recoveries = 108;
+  h.observations_accepted = 109;
+  h.quarantine_non_finite = 110;
+  h.quarantine_out_of_range = 111;
+  h.quarantine_unknown_link = 112;
+  h.quarantine_unknown_cell = 113;
+  h.quarantine_unknown_source = 114;
+  h.quarantine_overflow = 115;
+  h.last_observed_day = 116;
+  h.spd_cholesky_failures = 117;
+  h.spd_bump_recoveries = 118;
+  h.spd_lu_fallbacks = 119;
+  EngineImage image;
+  image.sites.push_back(std::move(site));
+  return image;
+}
+
+void expect_snapshots_equal(const api::FingerprintSnapshot& a,
+                            const api::FingerprintSnapshot& b) {
+  EXPECT_EQ(a.site(), b.site());
+  EXPECT_EQ(a.version(), b.version());
+  EXPECT_EQ(a.day(), b.day());
+  EXPECT_TRUE(a.database() == b.database());
+  EXPECT_TRUE(a.mask() == b.mask());
+  EXPECT_EQ(a.layout().links, b.layout().links);
+  EXPECT_EQ(a.layout().slots, b.layout().slots);
+  EXPECT_EQ(a.reference_cells(), b.reference_cells());
+  EXPECT_TRUE(a.correlation() == b.correlation());
+  EXPECT_EQ(a.sources(), b.sources());
+}
+
+void expect_warm_equal(const WarmImage& a, const WarmImage& b) {
+  EXPECT_EQ(a.factor_version, b.factor_version);
+  ASSERT_NE(a.factor, nullptr);
+  ASSERT_NE(b.factor, nullptr);
+  EXPECT_TRUE(*a.factor == *b.factor);
+  EXPECT_EQ(a.lrr_version, b.lrr_version);
+  ASSERT_NE(a.lrr, nullptr);
+  ASSERT_NE(b.lrr, nullptr);
+  EXPECT_TRUE(a.lrr->z == b.lrr->z);
+  EXPECT_TRUE(a.lrr->y1 == b.lrr->y1);
+  EXPECT_TRUE(a.lrr->y2 == b.lrr->y2);
+  EXPECT_EQ(a.lrr->mu, b.lrr->mu);
+}
+
+TEST(PersistWireFormat, CheckpointAndWalBytesArePinned) {
+  // Round trips pass even when encoder and decoder change together; these
+  // constants (recorded when the format was frozen at kFormatVersion 1)
+  // fail instead, because files written earlier would stop loading.
+  const EngineImage image = literal_image();
+  const std::vector<std::uint8_t> checkpoint = encode_checkpoint(image);
+  EXPECT_EQ(checkpoint.size(), 1159u);
+  EXPECT_EQ(crc32(checkpoint), 0x24490BBCu);
+  const WalRecord record{image.sites[0].chain[1], image.sites[0].warm};
+  const std::vector<std::uint8_t> wal = encode_wal_record(record);
+  EXPECT_EQ(wal.size(), 635u);
+  EXPECT_EQ(crc32(wal), 0x9CB2B69Eu);
+
+  EngineImage decoded;
+  ASSERT_TRUE(decode_checkpoint(checkpoint, decoded).ok());
+  ASSERT_EQ(decoded.sites.size(), 1u);
+  const SiteImage& site = decoded.sites[0];
+  const SiteImage& expected = image.sites[0];
+  EXPECT_EQ(site.site, expected.site);
+  EXPECT_EQ(site.serving_version, expected.serving_version);
+  ASSERT_EQ(site.chain.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    expect_snapshots_equal(*site.chain[k], *expected.chain[k]);
+  }
+  expect_warm_equal(site.warm, expected.warm);
+  EXPECT_TRUE(site.health == expected.health);
+
+  WalRecord replayed;
+  ASSERT_TRUE(decode_wal_record(wal, replayed));
+  expect_snapshots_equal(*replayed.snapshot, *record.snapshot);
+  expect_warm_equal(replayed.warm, record.warm);
+}
+
 // --- checkpoint round trip and corruption -----------------------------
 
 TEST(PersistCheckpoint, RoundTripRestoresBitIdenticalServing) {
