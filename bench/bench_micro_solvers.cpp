@@ -502,6 +502,29 @@ void BM_SpdSolveLanes(benchmark::State& state) {
 }
 BENCHMARK(BM_SpdSolveLanes)->Arg(0)->Arg(1);
 
+// --- OMP read-path additions, appended last per the code-layout note
+// above.
+
+// The served path's OMP match: noisy 3-sample day-45 queries cycling over
+// the office cells.  They run all three greedy atoms, where
+// BM_OmpLocalize's exact column stops after one.
+void BM_OmpLocalizeNoisy(benchmark::State& state) {
+  const auto& run = office();
+  const auto& x = run.ground_truth.at_day(0);
+  const loc::OmpLocalizer omp(x, {});
+  sim::Sampler sampler(run.testbed, "bench-omp-noisy");
+  std::vector<std::vector<double>> queries;
+  for (std::size_t j = 0; j < x.cols(); ++j) {
+    queries.push_back(sampler.online_measurement(j, 45, 3));
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(omp.localize(queries[k]));
+    k = k + 1 == queries.size() ? 0 : k + 1;
+  }
+}
+BENCHMARK(BM_OmpLocalizeNoisy);
+
 }  // namespace
 
 BENCHMARK_MAIN();

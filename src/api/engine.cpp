@@ -247,8 +247,7 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
     if (const Status put = store_.put(snapshot); !put.ok()) return put;
     version = snapshot->version();
     published = snapshot;
-    const auto shard = shards_->emplace(site);
-    shard->publish(std::make_shared<const serve::PublishedSite>(
+    shards_->publish(site, std::make_shared<const serve::PublishedSite>(
         serve::PublishedSite{published, std::move(localizer).value()}));
   }
   cache_warm_state(site, version, nullptr, lrr_state);
@@ -681,13 +680,13 @@ Result<UpdateResult> Engine::update_impl(const UpdateRequest& request) {
         snap->layout(), std::move(cells), std::move(z), request.day,
         snap->sources());
     if (const Status put = store_.put(next); !put.ok()) return put;
-    if (const auto shard = shards_->emplace(request.site); shard != nullptr) {
-      // Published under the commit lock so versions can never publish out
-      // of order; a localize overlapping this store is entirely lock-free
-      // (it loads the atomic bundle pointer, not this mutex).
-      shard->publish(std::make_shared<const serve::PublishedSite>(
-          serve::PublishedSite{next, std::move(localizer).value()}));
-    }
+    // Published under the commit lock so versions can never publish out
+    // of order; a localize overlapping this store is entirely lock-free
+    // (it loads the atomic bundle pointer, not this mutex).
+    shards_->publish(request.site,
+                     std::make_shared<const serve::PublishedSite>(
+                         serve::PublishedSite{next,
+                                              std::move(localizer).value()}));
     result.committed_version = next->version();
     result.snapshot = std::move(next);
     break;

@@ -136,8 +136,10 @@ inline double masked_diff_norm_sq(const double* mask, const double* x,
 /// dimension ldb), for c in [0, k) — bit-identical per column to calling
 /// this level's dot() on a contiguous copy of that column, vectorised
 /// across the RHS columns instead of along them.  Consumers: the
-/// multi-RHS SPD back substitution (linalg/cholesky.cpp) and the sweep
-/// objective's X_hat = L R^T (core/self_augmented.cpp).
+/// multi-RHS SPD back substitution (linalg/cholesky.cpp), the sweep
+/// objective's X_hat = L R^T (core/self_augmented.cpp) and the OMP greedy
+/// step, which scores all N dictionary columns per atom in one call
+/// (loc/omp.cpp).
 inline void dot_panel(const double* a, const double* b, std::size_t ldb,
                       std::size_t n, std::size_t k, double* out) {
   active::dot_panel(a, b, ldb, n, k, out);

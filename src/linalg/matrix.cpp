@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -221,16 +222,8 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
 }
 
 std::vector<double> operator*(const Matrix& a, std::span<const double> x) {
-  if (a.cols() != x.size()) {
-    throw std::invalid_argument("Matrix*vector: dimension mismatch");
-  }
   std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double acc = 0.0;
-    auto r = a.row_span(i);
-    for (std::size_t j = 0; j < x.size(); ++j) acc += r[j] * x[j];
-    y[i] = acc;
-  }
+  multiply_into(a, x, y);
   return y;
 }
 
@@ -343,6 +336,24 @@ void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
         }
       }
     }
+  }
+}
+
+void multiply_into(const Matrix& a, std::span<const double> x,
+                   std::span<double> out) {
+  if (a.cols() != x.size() || a.rows() != out.size()) {
+    throw std::invalid_argument("Matrix*vector: dimension mismatch");
+  }
+  if (!x.empty() && !out.empty() &&
+      std::less<>{}(out.data(), x.data() + x.size()) &&
+      std::less<>{}(x.data(), out.data() + out.size())) {
+    throw std::invalid_argument("Matrix*vector: out overlaps x");
+  }
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double acc = 0.0;
+    auto r = a.row_span(i);
+    for (std::size_t j = 0; j < x.size(); ++j) acc += r[j] * x[j];
+    out[i] = acc;
   }
 }
 

@@ -195,6 +195,12 @@ class Matrix {
 /// out = a * b, tiled over all three loop dimensions for cache locality.
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& out);
 
+/// out = a * x (matrix * vector; operator*(Matrix, span) calls it).  `out`
+/// is a caller-owned span of length a.rows(), overwritten; it must not
+/// overlap x (throws std::invalid_argument).
+void multiply_into(const Matrix& a, std::span<const double> x,
+                   std::span<double> out);
+
 /// out = a * b^T without materialising the transpose: out(i,j) =
 /// dot(a.row(i), b.row(j)), both contiguous.  This is the `X_hat = L R^T`
 /// kernel of the solver's objective evaluation.

@@ -23,52 +23,66 @@ void apply_reflector(Matrix& m, std::size_t col, std::size_t j,
 
 }  // namespace
 
-QrResult qr(const Matrix& a) {
+void QrWorkspace::reserve(std::size_t m, std::size_t n) {
+  const std::size_t k = std::min(m, n);
+  r.resize(m, n);
+  q.resize(m, k);
+  reflectors.resize(k, m);
+  betas.reserve(k);
+  qtb.reserve(n);
+}
+
+void qr_into(const Matrix& a, QrWorkspace& ws) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   const std::size_t k = std::min(m, n);
-  Matrix r = a;
-  // Accumulate Q by applying the reflectors to the identity afterwards; we
-  // keep the reflector vectors explicitly for clarity.
-  std::vector<std::vector<double>> vs;
-  std::vector<double> betas;
-  vs.reserve(k);
-  betas.reserve(k);
+  Matrix& r = ws.r;
+  r = a;
+  // Q is accumulated by applying the reflectors to the identity
+  // afterwards, so they are kept explicitly (one zero row for a zero
+  // column, applied as an exact no-op like any other).
+  ws.reflectors.resize(k, m, 0.0);
+  ws.betas.assign(k, 0.0);
 
   for (std::size_t j = 0; j < k; ++j) {
     // Build the reflector that annihilates r(j+1.., j).
     double norm_x = 0.0;
     for (std::size_t i = j; i < m; ++i) norm_x += r(i, j) * r(i, j);
     norm_x = std::sqrt(norm_x);
-    std::vector<double> v(m, 0.0);
-    double beta = 0.0;
     if (norm_x > 0.0) {
+      const std::span<double> v = ws.reflectors.row_span(j);
       const double alpha = r(j, j) >= 0.0 ? -norm_x : norm_x;
       for (std::size_t i = j; i < m; ++i) v[i] = r(i, j);
       v[j] -= alpha;
       const double vnorm2 = dot(v, v);
-      if (vnorm2 > 0.0) beta = 2.0 / vnorm2;
-      for (std::size_t c = j; c < n; ++c) apply_reflector(r, c, j, v, beta);
+      if (vnorm2 > 0.0) ws.betas[j] = 2.0 / vnorm2;
+      for (std::size_t c = j; c < n; ++c) {
+        apply_reflector(r, c, j, v, ws.betas[j]);
+      }
     }
-    vs.push_back(std::move(v));
-    betas.push_back(beta);
-  }
-
-  // Zero the strictly-lower part explicitly (numerical dust).
-  Matrix r_thin(k, n);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i; j < n; ++j) r_thin(i, j) = r(i, j);
   }
 
   // Q = H_0 H_1 ... H_{k-1} * I_thin.
-  Matrix q(m, k);
+  Matrix& q = ws.q;
+  q.resize(m, k, 0.0);
   for (std::size_t j = 0; j < k; ++j) q(j, j) = 1.0;
   for (std::size_t j = k; j-- > 0;) {
     for (std::size_t c = 0; c < k; ++c) {
-      apply_reflector(q, c, j, vs[j], betas[j]);
+      apply_reflector(q, c, j, ws.reflectors.row_span(j), ws.betas[j]);
     }
   }
-  return {std::move(q), std::move(r_thin)};
+}
+
+QrResult qr(const Matrix& a) {
+  QrWorkspace ws;
+  qr_into(a, ws);
+  // Zero the strictly-lower part explicitly (numerical dust).
+  const std::size_t k = ws.q.cols();
+  Matrix r_thin(k, a.cols());
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = i; j < a.cols(); ++j) r_thin(i, j) = ws.r(i, j);
+  }
+  return {std::move(ws.q), std::move(r_thin)};
 }
 
 QrcpResult qr_column_pivoted(const Matrix& a, double rel_tol) {
@@ -157,32 +171,41 @@ QrcpResult qr_column_pivoted(const Matrix& a, double rel_tol) {
 }
 
 std::vector<double> least_squares(const Matrix& a, std::span<const double> b) {
+  QrWorkspace ws;
+  std::vector<double> x(a.cols());
+  least_squares_into(a, b, ws, x);
+  return x;
+}
+
+void least_squares_into(const Matrix& a, std::span<const double> b,
+                        QrWorkspace& ws, std::span<double> x) {
   if (a.rows() != b.size()) {
     throw std::invalid_argument("least_squares: dimension mismatch");
   }
   if (a.rows() < a.cols()) {
     throw std::invalid_argument("least_squares: system is underdetermined");
   }
-  const QrResult f = qr(a);
+  if (x.size() != a.cols()) {
+    throw std::invalid_argument("least_squares: solution length mismatch");
+  }
+  qr_into(a, ws);
   // x = R^{-1} Q^T b  (back substitution).
   const std::size_t n = a.cols();
-  std::vector<double> qtb(n, 0.0);
+  ws.qtb.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     double acc = 0.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) acc += f.q(i, j) * b[i];
-    qtb[j] = acc;
+    for (std::size_t i = 0; i < a.rows(); ++i) acc += ws.q(i, j) * b[i];
+    ws.qtb[j] = acc;
   }
-  std::vector<double> x(n, 0.0);
   for (std::size_t i = n; i-- > 0;) {
-    double acc = qtb[i];
-    for (std::size_t j = i + 1; j < n; ++j) acc -= f.r(i, j) * x[j];
-    const double d = f.r(i, i);
+    double acc = ws.qtb[i];
+    for (std::size_t j = i + 1; j < n; ++j) acc -= ws.r(i, j) * x[j];
+    const double d = ws.r(i, i);
     if (std::abs(d) < 1e-300) {
       throw std::runtime_error("least_squares: rank-deficient system");
     }
     x[i] = acc / d;
   }
-  return x;
 }
 
 }  // namespace iup::linalg

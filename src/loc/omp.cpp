@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/kernels/kernels.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/vec.hpp"
 
@@ -59,8 +60,9 @@ OmpLocalizer::OmpLocalizer(linalg::Matrix database,
   }
   // Unit-norm copy for the greedy correlation step.
   dictionary_ = atoms_;
+  std::vector<double> col(dictionary_.rows());
   for (std::size_t j = 0; j < dictionary_.cols(); ++j) {
-    const auto col = dictionary_.col(j);
+    dictionary_.copy_col_into(j, col);
     const double n = linalg::norm2(col);
     if (n > 0.0) {
       for (std::size_t i = 0; i < dictionary_.rows(); ++i) {
@@ -72,7 +74,9 @@ OmpLocalizer::OmpLocalizer(linalg::Matrix database,
 
 OmpLocalizer::SparseSolution OmpLocalizer::solve(
     std::span<const double> measurement) const {
-  if (measurement.size() != database_.rows()) {
+  const std::size_t m = database_.rows();
+  const std::size_t n = database_.cols();
+  if (measurement.size() != m) {
     throw std::invalid_argument("OmpLocalizer: measurement length mismatch");
   }
   std::vector<double> y(measurement.begin(), measurement.end());
@@ -84,20 +88,34 @@ OmpLocalizer::SparseSolution OmpLocalizer::solve(
     for (double& v : y) v -= mean;
   }
 
+  // Per-query scratch, sized once for the largest possible support: no
+  // greedy atom allocates, so a query's allocation count is independent
+  // of N and of how many atoms it runs.
+  const std::size_t max_support = std::min(options_.max_atoms, n);
   SparseSolution sol;
+  sol.support.reserve(max_support);
+  sol.coefficients.reserve(max_support);
   std::vector<double> residual = y;
+  std::vector<double> corr(n);
+  std::vector<bool> used(n, false);
+  linalg::Matrix selected(m, max_support);
+  linalg::QrWorkspace qr_ws;
+  qr_ws.reserve(m, max_support);
   const double y_norm_sq = std::max(linalg::dot(y, y), 1e-300);
-  std::vector<bool> used(database_.cols(), false);
 
   for (std::size_t k = 0; k < options_.max_atoms; ++k) {
-    // Greedy step: atom with the largest |<residual, atom>|.
+    // Greedy step: atom with the largest |<residual, atom>|.  One panel
+    // pass scores every column of the row-major dictionary; corr[j] is
+    // bit-identical to dot() on a copy of column j (kernels.hpp).
+    linalg::kernels::dot_panel(residual.data(), dictionary_.data().data(), n,
+                               m, n, corr.data());
     std::size_t best = 0;
     double best_corr = -1.0;
-    for (std::size_t j = 0; j < dictionary_.cols(); ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       if (used[j]) continue;
-      const double corr = std::abs(linalg::dot(residual, dictionary_.col(j)));
-      if (corr > best_corr) {
-        best_corr = corr;
+      const double c = std::abs(corr[j]);
+      if (c > best_corr) {
+        best_corr = c;
         best = j;
       }
     }
@@ -106,12 +124,19 @@ OmpLocalizer::SparseSolution OmpLocalizer::solve(
     sol.support.push_back(best);
 
     // Least-squares refit of y on the selected atoms.
-    const linalg::Matrix sub = atoms_.select_columns(sol.support);
-    sol.coefficients = linalg::least_squares(sub, y);
+    const std::size_t atoms = sol.support.size();
+    selected.resize(m, atoms);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t t = 0; t < atoms; ++t) {
+        selected(i, t) = atoms_(i, sol.support[t]);
+      }
+    }
+    sol.coefficients.resize(atoms);
+    linalg::least_squares_into(selected, y, qr_ws, sol.coefficients);
 
-    // Updated residual.
-    const auto fitted = sub * std::span<const double>(sol.coefficients);
-    residual = linalg::sub(y, fitted);
+    // Updated residual: y - selected * coefficients.
+    linalg::multiply_into(selected, sol.coefficients, residual);
+    for (std::size_t i = 0; i < m; ++i) residual[i] = y[i] - residual[i];
     const double res_sq = linalg::dot(residual, residual);
     sol.residual_norm = std::sqrt(res_sq);
     if (res_sq < options_.residual_xi * y_norm_sq) break;

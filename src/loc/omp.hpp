@@ -51,6 +51,13 @@ class OmpLocalizer final : public Localizer {
 
   /// Full OMP solve: the sparse weight vector (support + coefficients);
   /// exposed for the multi-target extension and for tests.
+  ///
+  /// Cost per greedy atom: one kernels::dot_panel pass over the row-major
+  /// M x N dictionary scores every column (M * N multiply-adds, no column
+  /// copies), then a Householder refit of the k selected atoms
+  /// (O(M k^2)) in a linalg::QrWorkspace.  All scratch is allocated once
+  /// per query for min(max_atoms, N) atoms, so a query makes a fixed
+  /// number of heap allocations whatever N and the atom count.
   struct SparseSolution {
     std::vector<std::size_t> support;
     std::vector<double> coefficients;

@@ -95,10 +95,10 @@ Status Engine::install_restored_site(persist::SiteImage image) {
     if (Status s = store_.restore_history(std::move(image.chain)); !s.ok()) {
       return s;
     }
-    shard = shards_->emplace(image.site);
-    shard->publish(std::make_shared<const serve::PublishedSite>(
-        serve::PublishedSite{std::move(serving),
-                             std::move(localizer).value()}));
+    shard = shards_->publish(
+        image.site, std::make_shared<const serve::PublishedSite>(
+                        serve::PublishedSite{std::move(serving),
+                                             std::move(localizer).value()}));
   }
   {
     const auto lock = shard->lock_for_update();
@@ -141,9 +141,10 @@ Status Engine::apply_wal_record(const persist::WalRecord& record) {
           " with no checkpoint behind it — the checkpoint is missing");
     }
     if (Status s = store_.put(record.snapshot); !s.ok()) return s;
-    shard = shards_->emplace(site);
-    shard->publish(std::make_shared<const serve::PublishedSite>(
-        serve::PublishedSite{record.snapshot, std::move(localizer).value()}));
+    shard = shards_->publish(
+        site, std::make_shared<const serve::PublishedSite>(
+                  serve::PublishedSite{record.snapshot,
+                                       std::move(localizer).value()}));
   }
   const auto lock = shard->lock_for_update();
   serve::WarmCaches& caches = shard->caches(lock);

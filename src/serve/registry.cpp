@@ -15,14 +15,17 @@ ShardRegistry::ShardPtr ShardRegistry::find(const std::string& site) const {
   return it == map->end() ? nullptr : it->second;
 }
 
-ShardRegistry::ShardPtr ShardRegistry::emplace(const std::string& site) {
+ShardRegistry::ShardPtr ShardRegistry::publish(const std::string& site,
+                                               PublishedPtr bundle) {
   note_state_lock_acquired();
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const MapPtr current = map_.load();
   if (const auto it = current->find(site); it != current->end()) {
+    it->second->publish(std::move(bundle));
     return it->second;
   }
   auto shard = std::make_shared<SiteShard>(site);
+  shard->publish(std::move(bundle));
   auto next = std::make_shared<Map>(*current);
   next->emplace(site, shard);
   map_.store(MapPtr(std::move(next)));

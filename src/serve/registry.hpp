@@ -35,10 +35,12 @@ class ShardRegistry {
   /// including inside a ReadPathScope.
   ShardPtr find(const std::string& site) const;
 
-  /// Insert a fresh shard for `site` (copy-on-write republish).  Returns
-  /// the existing shard unchanged when the site is already present —
-  /// emplace semantics, so racing registrations converge on one shard.
-  ShardPtr emplace(const std::string& site);
+  /// Make `bundle` the published version of `site` and return its shard.
+  /// A new site's shard is created already holding `bundle` and only then
+  /// enters the map (copy-on-write republish), so find() never returns a
+  /// shard with nothing published.  A known site's shard publishes in
+  /// place.  Callers serialise publication order (SiteShard::publish).
+  ShardPtr publish(const std::string& site, PublishedPtr bundle);
 
   /// Remove `site` (copy-on-write republish); false when unknown.  The
   /// removed shard stays valid for readers that already resolved it.

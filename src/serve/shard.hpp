@@ -104,8 +104,9 @@ class SiteShard {
 
   const std::string& site() const { return site_; }
 
-  /// The current published version (never null once the registration
-  /// publish has run).  THE read-path entry point: no mutex, ever.
+  /// The current published version; never null for a shard found in the
+  /// registry, which inserts a shard only once it holds its first bundle
+  /// (ShardRegistry::publish).  THE read-path entry point: no mutex, ever.
   PublishedPtr published() const { return published_.load(); }
 
   /// Replace the published version (release handoff).  Callers serialise

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "api/engine.hpp"
+#include "core/fingerprint.hpp"
 #include "eval/experiment.hpp"
 #include "serve/shard.hpp"
 #include "sim/sampler.hpp"
@@ -266,34 +267,68 @@ TEST(ServeConcurrency, ReadersDuringUpdatesBitMatchObservedVersion) {
 }
 
 // Registry churn under readers: site lookups stay safe while other sites
-// register and drop (the copy-on-write map republish).
+// register and drop (the copy-on-write map republish), and a reader of
+// the churned site itself sees either a served answer or kNotFound — never
+// a shard that is in the map before its first bundle is published.
 TEST(ServeConcurrency, RegistryChurnDoesNotDisturbReaders) {
   const auto& run = iup::test::office_run();
   Engine engine = office_engine(run);
   const auto queries = office_queries(run, 4, "serve-churn");
   const auto expected =
       serial_localize(run.ground_truth.at_day(0), queries[0]);
+  // The churned site keeps the first slot of every link's band: a
+  // registrable one-slot grid that registers ~4x faster than the full
+  // one, so the loop affords enough cycles to hit the registration window.
+  const core::BandLayout layout =
+      core::band_layout_of(run.ground_truth.at_day(0));
+  std::vector<std::size_t> churn_cells;
+  for (std::size_t link = 0; link < layout.links; ++link) {
+    churn_cells.push_back(layout.cell(link, 0));
+  }
+  const linalg::Matrix churn_x =
+      run.ground_truth.at_day(0).select_columns(churn_cells);
+  const linalg::Matrix churn_mask = run.b_mask.select_columns(churn_cells);
 
+  constexpr int kCycles = 1000;
   std::atomic<bool> stop{false};
   std::thread churn([&] {
-    for (int i = 0; i < 6 && !stop.load(); ++i) {
-      const auto reg = engine.register_site(
-          "churn", run.ground_truth.at_day(0), run.b_mask);
-      ASSERT_TRUE(reg.ok()) << reg.status().to_string();
-      ASSERT_TRUE(engine.drop_site("churn").ok());
+    for (int i = 0; i < kCycles && !stop.load(); ++i) {
+      const auto reg = engine.register_site("churn", churn_x, churn_mask);
+      if (!reg.ok() || !engine.drop_site("churn").ok()) {
+        ADD_FAILURE() << "churn cycle " << i << ": "
+                      << reg.status().to_string();
+        break;
+      }
     }
     stop.store(true);
+  });
+  std::size_t churn_reads = 0;
+  std::thread churn_reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const auto est = engine.localize("churn", queries[1]);
+      ++churn_reads;
+      if (!est.ok() && est.status().code() != StatusCode::kNotFound) {
+        ADD_FAILURE() << est.status().to_string();
+        stop.store(true);
+      }
+    }
   });
   std::size_t reads = 0;
   while (!stop.load(std::memory_order_acquire)) {
     const auto est = engine.localize("office", queries[0]);
-    ASSERT_TRUE(est.ok());
+    if (!est.ok()) {
+      ADD_FAILURE() << est.status().to_string();
+      stop.store(true);
+      break;
+    }
     EXPECT_EQ(est.value().cell, expected.cell);
     EXPECT_EQ(est.value().score, expected.score);
     ++reads;
   }
   churn.join();
+  churn_reader.join();
   EXPECT_GT(reads, 0u);
+  EXPECT_GT(churn_reads, 0u);
   EXPECT_EQ(engine.published("churn").status().code(), StatusCode::kNotFound);
 }
 
