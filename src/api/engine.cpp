@@ -3,13 +3,13 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <unordered_map>
 #include <utility>
 
 #include "baselines/rass.hpp"
 #include "core/lrr.hpp"
 #include "core/mic.hpp"
 #include "core/self_augmented.hpp"
-#include "loc/knn.hpp"
 #include "loc/omp.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -40,23 +40,14 @@ bool all_finite(std::span<const double> v) {
 
 std::unique_ptr<loc::Localizer> make_localizer(
     LocalizerKind kind, const linalg::Matrix& database,
-    const sim::Deployment* deployment, std::size_t threads) {
+    const sim::Deployment* deployment) {
   switch (kind) {
     case LocalizerKind::kOmp:
       return std::make_unique<loc::OmpLocalizer>(database,
                                                  std::vector<double>{});
-    case LocalizerKind::kKnn: {
-      auto knn = std::make_unique<loc::KnnLocalizer>(database);
-      knn->set_deployment(deployment);
-      return knn;
-    }
-    case LocalizerKind::kRass: {
+    case LocalizerKind::kRass:
       if (deployment == nullptr) return nullptr;
-      baselines::RassOptions options;
-      options.threads = threads;
-      return std::make_unique<baselines::Rass>(database, *deployment,
-                                               options);
-    }
+      return std::make_unique<baselines::Rass>(database, *deployment);
   }
   return nullptr;
 }
@@ -112,19 +103,55 @@ void Engine::cache_warm_state(
   }
 }
 
-Result<std::shared_ptr<const loc::Localizer>> Engine::build_localizer(
-    const linalg::Matrix& database, const sim::Deployment* deployment) const {
-  // A null result is a VALID bundle payload: the configured kind needs
-  // deployment geometry that is not attached yet, so the site publishes a
-  // data-only bundle and localize() reports the precondition until
-  // attach_deployment republishes.
+Result<std::shared_ptr<const loc::OmpLocalizer>> Engine::build_localizer(
+    const linalg::Matrix& database) {
   try {
-    return std::shared_ptr<const loc::Localizer>(make_localizer(
-        config_.localizer(), database, deployment, config_.threads()));
+    return std::make_shared<const loc::OmpLocalizer>(database,
+                                                     std::vector<double>{});
   } catch (const std::exception& e) {
     return Status::internal(std::string("localizer construction: ") +
                             e.what());
   }
+}
+
+Status Engine::commit(const char* caller, const SnapshotPtr& base,
+                      SnapshotPtr next,
+                      std::shared_ptr<const loc::OmpLocalizer> localizer,
+                      std::shared_ptr<const linalg::Matrix> factor,
+                      std::shared_ptr<const core::LrrWarmStart> lrr) {
+  const std::string& site = next->site();
+  {
+    const auto lock = state_lock();
+    // Lost-update guard: `next` was derived from `base`, so committing on
+    // top of anything else would discard a concurrent commit — or, after a
+    // drop + re-register, graft the old site's state onto the new one,
+    // whose version numbers restart at 1.  Identity tells those apart.
+    const SnapshotPtr latest =
+        store_.contains(site) ? store_.latest(site).value() : nullptr;
+    if (latest != base) {
+      return Status::failed_precondition(
+          std::string(caller) + ": site '" + site + "' " +
+          (base == nullptr
+               ? std::string("is already registered")
+               : "changed after this commit read its version " +
+                     std::to_string(base->version()) +
+                     " (a concurrent commit, drop or re-registration)"));
+    }
+    if (Status put = store_.put(next); !put.ok()) return put;
+    // Published under the commit lock so versions can never publish out of
+    // order; a localize overlapping this store is entirely lock-free (it
+    // loads the atomic bundle pointer, not this mutex).
+    shards_->publish(site,
+                     std::make_shared<const serve::PublishedSite>(
+                         serve::PublishedSite{next, std::move(localizer)}));
+  }
+  cache_warm_state(site, next->version(), factor, lrr);
+  // Durability tap: every commit, registration (version 1) included.
+  if (hooks_.after_commit) {
+    hooks_.after_commit(
+        CommitEvent{std::move(next), std::move(factor), std::move(lrr)});
+  }
+  return {};
 }
 
 Result<SnapshotPtr> Engine::register_site(std::string site,
@@ -224,43 +251,26 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
     return Status::internal(std::string("register_site: ") + e.what());
   }
 
-  // The first serving bundle's localizer, built outside the lock (no
-  // deployment can be attached before registration succeeds).
-  Result<std::shared_ptr<const loc::Localizer>> localizer =
-      build_localizer(x_original, nullptr);
+  SnapshotPtr snapshot = std::make_shared<FingerprintSnapshot>(
+      site, /*version=*/1, std::move(x_original), std::move(b_mask), layout,
+      std::move(mic.reference_cells), std::move(z), /*day=*/0,
+      std::move(sources));
+  Result<std::shared_ptr<const loc::OmpLocalizer>> localizer =
+      build_localizer(snapshot->database());
   if (!localizer.ok()) return localizer.status();
-
-  std::uint64_t version = 0;
-  SnapshotPtr published;
-  {
-    const auto lock = state_lock();
-    // Re-check under the commit lock: a concurrent register_site for the
-    // same name may have won the race since the early check above.
-    if (store_.contains(site)) {
-      return Status::failed_precondition("register_site: site '" + site +
-                                         "' is already registered");
-    }
-    auto snapshot = std::make_shared<FingerprintSnapshot>(
-        site, store_.next_version(site), std::move(x_original),
-        std::move(b_mask), layout, std::move(mic.reference_cells),
-        std::move(z), /*day=*/0, std::move(sources));
-    if (const Status put = store_.put(snapshot); !put.ok()) return put;
-    version = snapshot->version();
-    published = snapshot;
-    shards_->publish(site, std::make_shared<const serve::PublishedSite>(
-        serve::PublishedSite{published, std::move(localizer).value()}));
+  // commit() re-checks that the name is still free: a concurrent
+  // register_site may have won the race since the early check above.
+  if (Status committed =
+          commit("register_site", nullptr, snapshot,
+                 std::move(localizer).value(), nullptr, std::move(lrr_state));
+      !committed.ok()) {
+    return committed;
   }
-  cache_warm_state(site, version, nullptr, lrr_state);
-  // Durability tap: registration is a commit like any other (version 1).
-  if (hooks_.after_commit) {
-    hooks_.after_commit(CommitEvent{published, nullptr, std::move(lrr_state)});
-  }
-  return published;
+  return snapshot;
 }
 
 Status Engine::drop_site(const std::string& site) {
   const auto lock = state_lock();
-  deployments_.erase(site);
   // Readers that already resolved the shard keep serving its last bundle;
   // new lookups miss.  Warm caches die with the shard.
   shards_->erase(site);
@@ -292,40 +302,12 @@ Status Engine::attach_deployment(const std::string& site,
   if (deployment == nullptr) {
     return Status::invalid_argument("attach_deployment: null deployment");
   }
-  SnapshotPtr snap;
-  {
-    const auto lock = state_lock();
-    if (!store_.contains(site)) {
-      return Status::not_found("attach_deployment: unknown site '" + site +
-                               "'");
-    }
-    // From here on every commit path reads the new pointer at its own
-    // commit time, so any update racing with this attach republishes with
-    // geometry itself (the deployment-pointer recheck in update()).
-    deployments_[site] = deployment;
-    snap = store_.latest(site).value();
-  }
-
-  Result<std::shared_ptr<const loc::Localizer>> localizer =
-      build_localizer(snap->database(), deployment);
-  if (!localizer.ok()) return localizer.status();
-
   const auto lock = state_lock();
-  const auto current = deployments_.find(site);
-  if (current == deployments_.end() || current->second != deployment) {
-    return Status();  // a newer attach/drop superseded us; its publish wins
+  if (!store_.contains(site)) {
+    return Status::not_found("attach_deployment: unknown site '" + site +
+                             "'");
   }
-  const Result<SnapshotPtr> latest = store_.latest(site);
-  if (!latest.ok() || latest.value()->version() != snap->version()) {
-    // The site advanced while we were building: that commit already
-    // published a bundle built with the pointer we installed above.
-    return Status();
-  }
-  if (const auto shard = shards_->find(site); shard != nullptr) {
-    shard->publish(std::make_shared<const serve::PublishedSite>(
-        serve::PublishedSite{snap, std::move(localizer).value()}));
-  }
-  return Status();
+  return {};
 }
 
 Result<SnapshotPtr> Engine::snapshot(const std::string& site) const {
@@ -356,9 +338,17 @@ Result<std::vector<SourceInfo>> Engine::sources(
 Status Engine::set_reference_cells(const std::string& site,
                                    std::vector<CellId> ids) {
   std::vector<std::size_t> cells = to_raw_cells(ids);
-  Result<SnapshotPtr> latest = snapshot(site);
-  if (!latest.ok()) return latest.status();
-  const SnapshotPtr& snap = latest.value();
+  // The published bundle pins the latest snapshot together with the
+  // localizer built over its database.  The new version keeps that
+  // database, so it reuses the localizer instead of rebuilding the
+  // dictionary (commit() refuses if the snapshot is no longer the latest).
+  const auto shard = shards_->find(site);
+  if (shard == nullptr) {
+    return Status::not_found("set_reference_cells: unknown site '" + site +
+                             "'");
+  }
+  const serve::PublishedPtr bundle = shard->published();
+  const SnapshotPtr& snap = bundle->snapshot;
   if (cells.empty()) {
     return Status::invalid_argument("set_reference_cells: empty reference "
                                     "set (at least one cell is required)");
@@ -386,38 +376,12 @@ Status Engine::set_reference_cells(const std::string& site,
   std::shared_ptr<const core::LrrWarmStart> lrr_state;
   if (lrr_warm_enabled_) lrr_state = lrr_state_of(z, std::move(lrr));
 
-  std::uint64_t version = 0;
-  SnapshotPtr committed;
-  {
-    const auto lock = state_lock();
-    if (store_.next_version(site) != snap->version() + 1) {
-      return Status::failed_precondition(
-          "set_reference_cells: site '" + site +
-          "' advanced past version " + std::to_string(snap->version()) +
-          " while re-acquiring the correlation (concurrent update)");
-    }
-    auto next = std::make_shared<FingerprintSnapshot>(
-        site, snap->version() + 1, snap->database(), snap->mask(),
-        snap->layout(), std::move(cells), std::move(z), snap->day(),
-        snap->sources());
-    if (const Status put = store_.put(next); !put.ok()) return put;
-    version = next->version();
-    committed = next;
-    if (const auto shard = shards_->find(site); shard != nullptr) {
-      // The database is unchanged, so the published localizer matches the
-      // new snapshot bit for bit — republish it with the new version
-      // rather than rebuilding the dictionary.
-      const serve::PublishedPtr bundle = shard->published();
-      shard->publish(std::make_shared<const serve::PublishedSite>(
-          serve::PublishedSite{std::move(next), bundle->localizer}));
-    }
-  }
-  cache_warm_state(site, version, nullptr, lrr_state);
-  if (hooks_.after_commit) {
-    hooks_.after_commit(
-        CommitEvent{std::move(committed), nullptr, std::move(lrr_state)});
-  }
-  return Status();
+  return commit("set_reference_cells", snap,
+                std::make_shared<FingerprintSnapshot>(
+                    site, snap->version() + 1, snap->database(), snap->mask(),
+                    snap->layout(), std::move(cells), std::move(z),
+                    snap->day(), snap->sources()),
+                bundle->localizer, nullptr, std::move(lrr_state));
 }
 
 Result<UpdateResult> Engine::solve_request(const FingerprintSnapshot& snap,
@@ -590,16 +554,9 @@ Result<SiteHealth> Engine::site_health(const std::string& site) const {
 
 Result<UpdateResult> Engine::update_impl(const UpdateRequest& request) {
   const auto start = std::chrono::steady_clock::now();
-  SnapshotPtr snap;
-  const sim::Deployment* deployment = nullptr;
-  {
-    const auto lock = state_lock();
-    Result<SnapshotPtr> latest = store_.latest(request.site);
-    if (!latest.ok()) return latest.status();
-    snap = latest.value();
-    const auto dep = deployments_.find(request.site);
-    if (dep != deployments_.end()) deployment = dep->second;
-  }
+  Result<SnapshotPtr> latest = snapshot(request.site);
+  if (!latest.ok()) return latest.status();
+  const SnapshotPtr snap = std::move(latest).value();
 
   // The solve — the expensive part — runs outside the state lock; only
   // the commit below re-acquires it.  Per-site ordering is the caller's
@@ -649,56 +606,22 @@ Result<UpdateResult> Engine::update_impl(const UpdateRequest& request) {
     }
   }
 
-  // Commit + publish.  The next bundle's localizer is built over the
-  // reconstruction OUTSIDE the lock; the loop re-builds in the rare case
-  // a concurrent attach_deployment swapped the geometry pointer while we
-  // were building (one extra build per attach, bounded by the recheck).
-  while (true) {
-    Result<std::shared_ptr<const loc::Localizer>> localizer =
-        build_localizer(result.solver.x_hat, deployment);
-    if (!localizer.ok()) return localizer.status();
-
-    const auto lock = state_lock();
-    // Lost-update guard: the solve ran against snap; if another commit for
-    // this site landed meanwhile (overlapping-site batches from two
-    // threads), silently committing on top would discard it.
-    if (store_.next_version(request.site) != snap->version() + 1) {
-      return Status::failed_precondition(
-          "update: site '" + request.site + "' advanced past version " +
-          std::to_string(snap->version()) +
-          " while this update was solving (concurrent same-site update)");
-    }
-    const auto dep = deployments_.find(request.site);
-    const sim::Deployment* current =
-        dep == deployments_.end() ? nullptr : dep->second;
-    if (current != deployment) {
-      deployment = current;
-      continue;  // rebuild the localizer with the new geometry
-    }
-    auto next = std::make_shared<FingerprintSnapshot>(
-        request.site, snap->version() + 1, result.solver.x_hat, snap->mask(),
-        snap->layout(), std::move(cells), std::move(z), request.day,
-        snap->sources());
-    if (const Status put = store_.put(next); !put.ok()) return put;
-    // Published under the commit lock so versions can never publish out
-    // of order; a localize overlapping this store is entirely lock-free
-    // (it loads the atomic bundle pointer, not this mutex).
-    shards_->publish(request.site,
-                     std::make_shared<const serve::PublishedSite>(
-                         serve::PublishedSite{next,
-                                              std::move(localizer).value()}));
-    result.committed_version = next->version();
-    result.snapshot = std::move(next);
-    break;
-  }
-  // The converged factor is the warm start for the next solve reading the
-  // committed snapshot; version-paired in the shard cache (see
-  // cache_warm_state for why post-lock writes stay consistent).
-  cache_warm_state(request.site, result.committed_version, warm_factor,
-                   lrr_state);
-  if (hooks_.after_commit) {
-    hooks_.after_commit(CommitEvent{result.snapshot, std::move(warm_factor),
-                                    std::move(lrr_state)});
+  // The next bundle: the snapshot and its localizer over the
+  // reconstruction, both built outside the lock.  The converged factor
+  // becomes the version-paired warm start for the next solve reading it.
+  Result<std::shared_ptr<const loc::OmpLocalizer>> localizer =
+      build_localizer(result.solver.x_hat);
+  if (!localizer.ok()) return localizer.status();
+  result.snapshot = std::make_shared<FingerprintSnapshot>(
+      request.site, snap->version() + 1, result.solver.x_hat, snap->mask(),
+      snap->layout(), std::move(cells), std::move(z), request.day,
+      snap->sources());
+  result.committed_version = result.snapshot->version();
+  if (Status committed =
+          commit("update", snap, result.snapshot, std::move(localizer).value(),
+                 std::move(warm_factor), std::move(lrr_state));
+      !committed.ok()) {
+    return committed;
   }
   return result;
 }
@@ -724,9 +647,7 @@ std::vector<Result<UpdateResult>> Engine::update_batch(
   // exactly the snapshots and returns exactly the Results of the
   // sequential loop above.  Each chain carries its own post-commit MIC +
   // LRR correlation refresh, so site A's refresh overlaps site B's solve
-  // instead of serialising the whole batch behind the refreshes.  A kRass
-  // localizer build inside a chain runs its per-axis fits inline (a
-  // nested parallel_for never re-enters the pool).
+  // instead of serialising the whole batch behind the refreshes.
   std::vector<std::vector<std::size_t>> groups;
   std::unordered_map<std::string, std::size_t> group_of;
   for (std::size_t k = 0; k < requests.size(); ++k) {
@@ -781,11 +702,6 @@ Result<loc::LocalizationEstimate> Engine::localize(
     return Status::invalid_argument(
         "localize: measurement contains non-finite RSS values");
   }
-  if (bundle->localizer == nullptr) {
-    return Status::failed_precondition(
-        "localize: this localizer needs deployment geometry; call "
-        "attach_deployment('" + site + "', ...) first");
-  }
   try {
     return bundle->localizer->localize(measurement);
   } catch (const std::exception& e) {
@@ -817,11 +733,6 @@ Result<std::vector<loc::LocalizationEstimate>> Engine::localize_batch(
           "localize_batch: measurement " + std::to_string(k) +
           " contains non-finite RSS values");
     }
-  }
-  if (bundle->localizer == nullptr) {
-    return Status::failed_precondition(
-        "localize: this localizer needs deployment geometry; call "
-        "attach_deployment('" + site + "', ...) first");
   }
   const std::size_t threads = parallel::resolve_threads(config_.threads());
   try {

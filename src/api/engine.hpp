@@ -11,12 +11,14 @@
 //
 // Serving architecture (src/serve/): each site is backed by a SiteShard
 // whose published {snapshot, localizer} bundle is swapped RCU-style by the
-// write paths, so localize()/localize_batch() run WITHOUT ANY LOCK in
-// steady state — they resolve the shard through the registry's lock-free
-// map, load one published pointer (serve::RcuSlot) and compute against
-// the immutable bundle.  A localize overlapping an update observes either
-// the old or the new version in full, and its result is bit-identical to a
-// serial localize against whichever version it observed (the bundle pins
+// write paths.  Every bundle serves the paper's matcher, a
+// loc::OmpLocalizer built over the bundle's own database.
+// localize()/localize_batch() run WITHOUT ANY LOCK in steady state — they
+// resolve the shard through the registry's lock-free map, load one
+// published pointer (serve::RcuSlot) and compute against the immutable
+// bundle.  A localize overlapping an update observes either the old or
+// the new version in full, and its result is bit-identical to a serial
+// localize against whichever version it observed (the bundle pins
 // database and localizer together).  The zero-locks contract is machine-
 // checked: the read paths run inside serve::ReadPathScope and every state
 // mutex routes through serve::note_state_lock_acquired().
@@ -30,13 +32,18 @@
 // FactorInit::kWarmStart, the default), skipping the per-update
 // initialisation SVD.
 //
+// Commits: register_site, set_reference_cells and update() build their
+// next snapshot and its localizer outside every lock, then store and
+// publish it through one private commit(), which refuses the commit unless
+// the site's latest snapshot is still exactly the one the work was based
+// on (pointer identity, so a drop + re-register in between is caught too).
+//
 // Parallelism has one grain: EngineConfig::threads(n) is how many
 // independent work items run at once.  update_batch parallelises across
 // *sites* (same-site requests stay strictly ordered, so batches remain
-// exactly equivalent to sequential update() calls), localize_batch across
-// measurements, and a kRass localizer build across its SVR fits.  One
-// solve (sweep, MIC, LRR) always runs on one thread.  Solver and
-// localizer-construction work always runs outside the commit lock.
+// exactly equivalent to sequential update() calls) and localize_batch
+// across measurements.  One solve (sweep, MIC, LRR) always runs on one
+// thread.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +52,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/engine_config.hpp"
@@ -55,6 +61,7 @@
 #include "core/updater.hpp"
 #include "linalg/cholesky.hpp"
 #include "loc/localizer.hpp"
+#include "loc/omp.hpp"
 #include "serve/health.hpp"
 #include "serve/registry.hpp"
 #include "serve/shard.hpp"
@@ -108,15 +115,18 @@ struct UpdateResult {
   const linalg::Matrix& x_hat() const { return solver.x_hat; }
 };
 
-/// Build a localizer of `kind` over `database`.  `deployment` enables
-/// geometry-aware matching (KNN centroid averaging) and is mandatory for
-/// kRass; returns nullptr when it is missing for a kind that requires it.
-/// `threads` is the training budget for localizers that learn a model at
-/// construction (kRass: the per-axis SVR fits fan out over iup::parallel,
-/// bit-identical for any value).
+/// The localizers the evaluation compares (Figs. 21-24).  The Engine
+/// itself always serves kOmp.
+enum class LocalizerKind {
+  kOmp,   ///< the paper's sparse-recovery matcher (Sec. V)
+  kRass,  ///< SVR baseline; needs deployment geometry
+};
+
+/// Build a localizer of `kind` over `database`.  `deployment` is mandatory
+/// for kRass; returns nullptr when it is missing.
 std::unique_ptr<loc::Localizer> make_localizer(
     LocalizerKind kind, const linalg::Matrix& database,
-    const sim::Deployment* deployment = nullptr, std::size_t threads = 1);
+    const sim::Deployment* deployment = nullptr);
 
 class Engine {
  public:
@@ -140,10 +150,12 @@ class Engine {
                                     std::vector<SourceInfo> sources = {});
   Status drop_site(const std::string& site);
 
-  /// Attach deployment geometry (cell centres) to a registered site; the
-  /// pointer must outlive the engine.  Required for kKnn centroid
-  /// averaging and for kRass.  Republishes the serving bundle with a
-  /// geometry-aware localizer.
+  /// Validates its arguments and nothing else: kInvalidArgument for a
+  /// null deployment, kNotFound for an unknown site, otherwise OK.  The
+  /// OMP matcher every site serves needs no geometry, so the engine
+  /// stores nothing and republishes nothing.  Kept only because the
+  /// benchmark harness (perfbench/) still calls it and checks the status;
+  /// once those calls are gone, so can this method be.
   Status attach_deployment(const std::string& site,
                            const sim::Deployment* deployment);
 
@@ -237,9 +249,8 @@ class Engine {
   /// kDataLoss), republish every site at its recovered latest version and
   /// reinstall the warm caches so the next solves are bit-identical to an
   /// uninterrupted run.  kNotFound when `dir` holds no durable state at
-  /// all.  Deployment geometry is not persisted — re-attach after
-  /// restore; the engine's config must match the writer's for
-  /// bit-identity (documented in README).
+  /// all.  The engine's config must match the writer's for bit-identity
+  /// (documented in README).
   Status restore_from(const std::string& dir);
 
  private:
@@ -274,11 +285,25 @@ class Engine {
   static std::shared_ptr<const core::LrrWarmStart> lrr_state_of(
       const linalg::Matrix& z, core::LrrResult&& result);
 
-  /// Build the configured localizer over `database` as a bundle-ready
-  /// shared_ptr (null when the kind needs missing deployment geometry).
+  /// The OMP localizer over `database`, ready for a bundle (never null).
   /// Wraps construction exceptions into Status.
-  Result<std::shared_ptr<const loc::Localizer>> build_localizer(
-      const linalg::Matrix& database, const sim::Deployment* deployment) const;
+  static Result<std::shared_ptr<const loc::OmpLocalizer>> build_localizer(
+      const linalg::Matrix& database);
+
+  /// The one commit path of register_site, set_reference_cells and
+  /// update().  Under the commit lock, requires the site's latest snapshot
+  /// to be exactly `base` (the same object, so a drop + re-register is not
+  /// mistaken for the site the work read) — or, for a registration
+  /// (`base` null), the site to be absent — and fails with
+  /// kFailedPrecondition otherwise, touching nothing.  Then stores `next`
+  /// and publishes {next, localizer}.  Outside every lock it installs the
+  /// warm caches for next's version (null pointers skip their slot) and
+  /// fires the after_commit hook.  `caller` prefixes the error message.
+  Status commit(const char* caller, const SnapshotPtr& base,
+                SnapshotPtr next,
+                std::shared_ptr<const loc::OmpLocalizer> localizer,
+                std::shared_ptr<const linalg::Matrix> factor,
+                std::shared_ptr<const core::LrrWarmStart> lrr);
 
   /// Acquire the commit lock, asserting the caller is not on the serve
   /// read path (the zero-locks contract; see serve/shard.hpp).
@@ -315,16 +340,15 @@ class Engine {
   /// config_.lrr_warm_start(): cache + resume the ADMM state of the
   /// correlation refreshes.
   bool lrr_warm_enabled_ = false;
-  /// The COMMIT lock: guards store_ and deployments_ (and serialises
-  /// publication order — bundles are published while it is held, so a
-  /// site's published version can never move backwards).  Solver,
-  /// correlation and localizer-construction work always runs outside it,
-  /// and the localization read paths never touch it at all.  Held by
-  /// unique_ptr so Engine stays movable (moving an Engine while a batch is
-  /// in flight is a caller bug, as with any container).
+  /// The COMMIT lock: guards store_ and serialises publication order
+  /// (bundles are published while it is held, so a site's published
+  /// version can never move backwards).  Solver, correlation and
+  /// localizer-construction work always runs outside it, and the
+  /// localization read paths never touch it at all.  Held by unique_ptr
+  /// so Engine stays movable (moving an Engine while a batch is in flight
+  /// is a caller bug, as with any container).
   std::unique_ptr<std::mutex> state_mutex_ = std::make_unique<std::mutex>();
   SnapshotStore store_;
-  std::unordered_map<std::string, const sim::Deployment*> deployments_;
   /// Per-site serving shards: published bundles + warm-start caches.
   /// unique_ptr (registry is non-movable) so Engine stays movable.
   std::unique_ptr<serve::ShardRegistry> shards_ =

@@ -4,11 +4,11 @@
 //   rsvd.w_similarity = 0.0;  // Constraint 2 without adjacent-link similarity
 //   auto engine = api::Engine(api::EngineConfig()
 //                                 .rsvd(rsvd)
-//                                 .localizer(api::LocalizerKind::kKnn)
 //                                 .refresh_correlation(false));
 //
 // Setters return *this; unset fields keep the paper's defaults (self-
-// augmented RSVD, OMP localization, correlation refreshed on every commit).
+// augmented RSVD, correlation refreshed on every commit).  Localization
+// is not configurable: every site serves the paper's OMP matcher.
 // rsvd() is the whole solver configuration: every solve runs
 // core::SelfAugmentedRsvd with exactly these options.
 #pragma once
@@ -25,13 +25,6 @@
 #include "core/rsvd.hpp"
 
 namespace iup::api {
-
-/// Which localizer Engine::localize builds over a site's database.
-enum class LocalizerKind {
-  kOmp,   ///< the paper's sparse-recovery matcher (Sec. V)
-  kKnn,   ///< RADAR-style nearest fingerprints
-  kRass,  ///< SVR baseline; needs Engine::attach_deployment
-};
 
 /// One successfully committed snapshot, as observed by the after_commit
 /// hook: the exact immutable state a durability layer must write to make
@@ -118,20 +111,15 @@ class EngineConfig {
     lrr_warm_start_ = value;
     return *this;
   }
-  EngineConfig& localizer(LocalizerKind value) {
-    localizer_ = value;
-    return *this;
-  }
   /// Snapshot versions retained per site (0 = unlimited).
   EngineConfig& history_limit(std::size_t value) {
     history_limit_ = value;
     return *this;
   }
   /// How many independent work items run at once (0 = all hardware
-  /// threads, default 1): the sites of an update_batch, the measurements
-  /// of a localize_batch, and the per-axis SVR fits of a kRass localizer
-  /// build.  One solve is never split.  Results are
-  /// bit-identical for any value, because only independent items run
+  /// threads, default 1): the sites of an update_batch and the
+  /// measurements of a localize_batch.  One solve is never split.  Results
+  /// are bit-identical for any value, because only independent items run
   /// concurrently.
   EngineConfig& threads(std::size_t value) {
     threads_ = value;
@@ -148,7 +136,6 @@ class EngineConfig {
   const core::LrrOptions& lrr() const { return lrr_; }
   bool refresh_correlation() const { return refresh_correlation_; }
   bool lrr_warm_start() const { return lrr_warm_start_; }
-  LocalizerKind localizer() const { return localizer_; }
   std::size_t history_limit() const { return history_limit_; }
   const UpdateHooks& update_hooks() const { return update_hooks_; }
   std::size_t threads() const { return threads_; }
@@ -158,7 +145,6 @@ class EngineConfig {
   core::LrrOptions lrr_;
   bool refresh_correlation_ = true;
   bool lrr_warm_start_ = true;
-  LocalizerKind localizer_ = LocalizerKind::kOmp;
   std::size_t history_limit_ = 0;
   std::size_t threads_ = 1;
   UpdateHooks update_hooks_;

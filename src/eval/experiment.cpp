@@ -71,15 +71,7 @@ api::UpdateRequest collect_update_request(
 api::Result<api::SnapshotPtr> register_run(api::Engine& engine,
                                            const EnvironmentRun& run,
                                            const std::string& site) {
-  api::Result<api::SnapshotPtr> registered =
-      engine.register_site(site, run.ground_truth.at_day(0), run.b_mask);
-  if (!registered.ok()) return registered;
-  if (const api::Status attached = engine.attach_deployment(
-          site, &run.testbed.deployment());
-      !attached.ok()) {
-    return attached;
-  }
-  return registered;
+  return engine.register_site(site, run.ground_truth.at_day(0), run.b_mask);
 }
 
 std::vector<double> localization_errors(const EnvironmentRun& run,

@@ -59,9 +59,8 @@ api::UpdateRequest collect_update_request(
     std::size_t samples_per_location = 5,
     const std::string& stream_tag = "update");
 
-/// Register `run` on an engine as `site` (day-0 survey + no-decrease mask)
-/// and attach its deployment geometry so every LocalizerKind works.  `run`
-/// must outlive the engine's use of the site.
+/// Register `run` on an engine as `site` (day-0 survey + no-decrease
+/// mask).
 api::Result<api::SnapshotPtr> register_run(api::Engine& engine,
                                            const EnvironmentRun& run,
                                            const std::string& site);

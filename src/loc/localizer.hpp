@@ -3,8 +3,8 @@
 // A localizer matches one online measurement vector y (Eq. 25) against a
 // fingerprint database and returns the estimated grid cell.  Concrete
 // implementations: OmpLocalizer (the paper's nonlinear-optimization method,
-// Eq. 26/27), KnnLocalizer (classic nearest-fingerprint matching) and
-// baselines::Rass (SVR regression).
+// Eq. 26/27, and the one the Engine serves) and baselines::Rass (the SVR
+// regression baseline of Figs. 23/24).
 #pragma once
 
 #include <cstddef>

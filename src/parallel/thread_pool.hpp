@@ -23,9 +23,9 @@
 //     The pool therefore makes progress even with zero workers
 //     (single-core machines) and is never a deadlock hazard.
 //   * A parallel_for called from inside a pool chunk runs its whole range
-//     inline on that thread.  The only nesting in the library is
-//     update_batch (sites) -> RASS per-axis fits under
-//     LocalizerKind::kRass; the outer fan-out already occupies the pool.
+//     inline on that thread, so a caller may nest one without deadlock
+//     (the outer fan-out already occupies the pool).  Nothing in the
+//     library nests today.
 #pragma once
 
 #include <cstddef>

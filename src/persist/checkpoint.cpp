@@ -10,6 +10,13 @@ namespace iup::persist {
 
 namespace {
 
+// Lower bounds on encoded sizes, for bounding element counts read from
+// the stream (ByteReader::get_count).  A snapshot is at least an empty
+// site name, version, day, three empty matrices, the layout pair and two
+// zero counts; a site section is at least its u64 length + u32 CRC frame.
+constexpr std::size_t kMinSnapshotBytes = 4 + 8 + 8 + 3 * 16 + 8 + 8 + 4 + 4;
+constexpr std::size_t kSectionFrameBytes = 8 + 4;
+
 void put_health(ByteWriter& writer, const serve::HealthValues& h) {
   writer.put_u32(static_cast<std::uint32_t>(h.state));
   serve::for_each_counter([&](std::uint64_t v) { writer.put_u64(v); }, h);
@@ -39,7 +46,8 @@ void put_site(ByteWriter& writer, const SiteImage& site) {
 bool get_site(ByteReader& reader, SiteImage& site) {
   std::uint32_t chain_size = 0;
   if (!reader.get_string(site.site) ||
-      !reader.get_u64(site.serving_version) || !reader.get_u32(chain_size)) {
+      !reader.get_u64(site.serving_version) ||
+      !reader.get_count(chain_size, kMinSnapshotBytes)) {
     return false;
   }
   site.chain.clear();
@@ -91,7 +99,7 @@ bool get_snapshot(ByteReader& reader, api::SnapshotPtr& out) {
   layout.links = links;
   layout.slots = slots;
   std::uint32_t cell_count = 0;
-  if (!reader.get_u32(cell_count)) return false;
+  if (!reader.get_count(cell_count, 8)) return false;
   std::vector<std::size_t> cells(cell_count);
   for (std::size_t& cell : cells) {
     std::uint64_t v = 0;
@@ -101,7 +109,7 @@ bool get_snapshot(ByteReader& reader, api::SnapshotPtr& out) {
   linalg::Matrix correlation;
   if (!reader.get_matrix(correlation)) return false;
   std::uint32_t source_count = 0;
-  if (!reader.get_u32(source_count)) return false;
+  if (!reader.get_count(source_count, 9)) return false;
   std::vector<SourceInfo> sources(source_count);
   for (SourceInfo& source : sources) {
     std::uint64_t id = 0;
@@ -199,6 +207,14 @@ api::Status decode_checkpoint(std::span<const std::uint8_t> bytes,
         "checkpoint: format version " + std::to_string(format) +
         " (this build reads version " + std::to_string(kFormatVersion) +
         "); refusing to guess at an incompatible layout");
+  }
+  // The header carries no CRC, so the count is bounded by what the file
+  // can hold before it sizes anything.
+  if (site_count > reader.remaining() / kSectionFrameBytes) {
+    return api::Status::data_loss(
+        "checkpoint: header claims " + std::to_string(site_count) +
+        " site sections but only " + std::to_string(reader.remaining()) +
+        " bytes follow (header damaged)");
   }
   EngineImage image;
   image.sites.reserve(site_count);

@@ -85,8 +85,8 @@ Status Engine::install_restored_site(persist::SiteImage image) {
       break;
     }
   }
-  Result<std::shared_ptr<const loc::Localizer>> localizer =
-      build_localizer(serving->database(), nullptr);
+  Result<std::shared_ptr<const loc::OmpLocalizer>> localizer =
+      build_localizer(serving->database());
   if (!localizer.ok()) return localizer.status();
 
   std::shared_ptr<serve::SiteShard> shard;
@@ -118,8 +118,8 @@ Status Engine::apply_wal_record(const persist::WalRecord& record) {
   }
   const std::string& site = record.snapshot->site();
   const std::uint64_t version = record.snapshot->version();
-  Result<std::shared_ptr<const loc::Localizer>> localizer =
-      build_localizer(record.snapshot->database(), nullptr);
+  Result<std::shared_ptr<const loc::OmpLocalizer>> localizer =
+      build_localizer(record.snapshot->database());
   if (!localizer.ok()) return localizer.status();
 
   std::shared_ptr<serve::SiteShard> shard;

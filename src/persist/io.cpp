@@ -142,6 +142,10 @@ bool ByteReader::get_string(std::string& v) {
   return true;
 }
 
+bool ByteReader::get_count(std::uint32_t& n, std::size_t min_bytes_each) {
+  return get_u32(n) && n <= remaining() / min_bytes_each;
+}
+
 bool ByteReader::get_matrix(linalg::Matrix& m) {
   std::uint64_t rows = 0;
   std::uint64_t cols = 0;

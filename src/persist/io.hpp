@@ -66,6 +66,10 @@ class ByteReader {
   bool get_f64(double& v);
   bool get_string(std::string& v);
   bool get_matrix(linalg::Matrix& m);
+  /// u32 element count of a sequence whose elements encode to at least
+  /// `min_bytes_each` bytes (> 0); false when the rest of the stream could
+  /// not hold that many, so a corrupt count never sizes an allocation.
+  bool get_count(std::uint32_t& n, std::size_t min_bytes_each);
 
   /// Advance past `n` bytes (framing: a validated payload is re-read
   /// through its own ByteReader); false when fewer than `n` remain.

@@ -34,23 +34,22 @@
 #include "api/snapshot.hpp"
 #include "core/lrr.hpp"
 #include "linalg/matrix.hpp"
-#include "loc/localizer.hpp"
+#include "loc/omp.hpp"
 #include "serve/health.hpp"
 #include "serve/rcu_slot.hpp"
 
 namespace iup::serve {
 
 /// One published, immutable serving version of a site: the snapshot and
-/// the localizer built over its database.  The bundle owns both, so a
-/// localizer can never outlive the data it matches against — holding the
-/// bundle pins the exact {database, reference set, correlation, matcher}
-/// a result was computed from (the bit-identity anchor for the
-/// localize-during-update guarantee).
+/// the paper's OMP localizer built over its database.  The bundle owns
+/// both, so a localizer can never outlive the data it matches against —
+/// holding the bundle pins the exact {database, reference set,
+/// correlation, matcher} a result was computed from (the bit-identity
+/// anchor for the localize-during-update guarantee).  Neither pointer is
+/// ever null.
 struct PublishedSite {
   api::SnapshotPtr snapshot;
-  /// Null when the configured localizer needs deployment geometry that is
-  /// not attached yet (api::Engine::attach_deployment republishes).
-  std::shared_ptr<const loc::Localizer> localizer;
+  std::shared_ptr<const loc::OmpLocalizer> localizer;
 };
 
 using PublishedPtr = std::shared_ptr<const PublishedSite>;

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
+#include <vector>
 
 #include "core/updater.hpp"
 #include "eval/experiment.hpp"
@@ -356,21 +358,60 @@ TEST(EngineLocalize, BatchMatchesSingleAndValidates) {
   EXPECT_EQ(wrong_width.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EngineLocalize, RassNeedsDeploymentAttached) {
+TEST(EngineAttachDeployment, ValidatesArgumentsAndRepublishesNothing) {
   const auto& run = iup::test::office_run();
-  Engine engine(EngineConfig().localizer(LocalizerKind::kRass));
-  const auto registered =
-      engine.register_site("office", run.ground_truth.at_day(0), run.b_mask);
-  ASSERT_TRUE(registered.ok());
-  const auto no_dep =
-      engine.localize("office", std::vector<double>(8, -50.0));
-  EXPECT_EQ(no_dep.status().code(), StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE(
+  Engine engine = office_engine(run);
+  const serve::PublishedPtr before = engine.published("office").value();
+  EXPECT_TRUE(
       engine.attach_deployment("office", &run.testbed.deployment()).ok());
-  const auto with_dep =
-      engine.localize("office", std::vector<double>(8, -50.0));
-  EXPECT_TRUE(with_dep.ok()) << with_dep.status().to_string();
+  EXPECT_EQ(engine.published("office").value(), before);
+  EXPECT_EQ(engine.attach_deployment("office", nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      engine.attach_deployment("nope", &run.testbed.deployment()).code(),
+      StatusCode::kNotFound);
+}
+
+TEST(EngineCommit, UpdateIsRefusedAfterADropAndReRegisterOfItsSite) {
+  // The update solves against the office site "s" at v1; before it
+  // commits, "s" is dropped and re-registered from the hall survey, so
+  // the new site is back at v1 too.  Committing the office
+  // reconstruction as the new site's v2 would be a lost update.
+  const auto& office = iup::test::office_run();
+  const auto& hall = iup::test::hall_run();
+  Engine* engine_ptr = nullptr;
+  bool raced = false;
+  std::vector<SnapshotPtr> commits;
+  UpdateHooks hooks;
+  hooks.before_publish = [&](std::chrono::nanoseconds) {
+    if (!raced) {
+      raced = true;
+      EXPECT_TRUE(engine_ptr->drop_site("s").ok());
+      EXPECT_TRUE(eval::register_run(*engine_ptr, hall, "s").ok());
+    }
+    return Status();
+  };
+  hooks.after_commit = [&](const CommitEvent& event) {
+    commits.push_back(event.snapshot);
+  };
+  Engine engine(EngineConfig().update_hooks(hooks));
+  engine_ptr = &engine;
+  ASSERT_TRUE(eval::register_run(engine, office, "s").ok());
+  const auto cells = engine.reference_cells("s").value();
+  commits.clear();
+
+  const auto result =
+      engine.update(eval::collect_update_request(office, "s", cells, 15));
+  EXPECT_TRUE(raced);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+
+  const SnapshotPtr latest = engine.snapshot("s").value();
+  EXPECT_EQ(latest->version(), 1u);
+  EXPECT_TRUE(latest->database() == hall.ground_truth.at_day(0));
+  EXPECT_EQ(engine.published("s").value()->snapshot, latest);
+  // The hook's own registration is the only commit.
+  ASSERT_EQ(commits.size(), 1u);
+  EXPECT_EQ(commits[0], latest);
 }
 
 std::vector<SourceInfo> office_sources() {
@@ -419,8 +460,6 @@ TEST(EngineSources, TableIsCarriedAcrossVersionsAndEnforced) {
                   .register_site("office", run.ground_truth.at_day(0),
                                  run.b_mask, office_sources())
                   .ok());
-  ASSERT_TRUE(
-      engine.attach_deployment("office", &run.testbed.deployment()).ok());
   const auto cells = engine.reference_cells("office").value();
 
   // Inputs carrying the registered table commit fine...

@@ -127,7 +127,7 @@ TEST(Experiment, CollectUpdateInputsShapes) {
 TEST(Experiment, LocalizationErrorsCountsTrials) {
   const auto& run = iup::test::office_run();
   const auto errs = localization_errors(run, run.ground_truth.at_day(0),
-                                        LocalizerKind::kKnn, 0, 1, 2);
+                                        LocalizerKind::kOmp, 0, 1, 2);
   EXPECT_EQ(errs.size(), 2u * run.testbed.num_cells());
 }
 

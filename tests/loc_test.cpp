@@ -1,4 +1,4 @@
-// OMP and KNN localizers.
+// The OMP localizer.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -11,7 +11,6 @@
 
 #include "linalg/qr.hpp"
 #include "linalg/vec.hpp"
-#include "loc/knn.hpp"
 #include "loc/omp.hpp"
 #include "test_util.hpp"
 
@@ -339,42 +338,6 @@ TEST(OmpReference, BaselineMeasurementGivesEmptySupport) {
   const LocalizationEstimate est = omp.localize(omp.baselines());
   EXPECT_EQ(est.cell, 0u);
   EXPECT_EQ(est.score, std::numeric_limits<double>::infinity());
-}
-
-TEST(Knn, NearestColumnExact) {
-  const auto& x = iup::test::office_run().ground_truth.at_day(0);
-  const KnnLocalizer knn(x, KnnOptions{1});
-  for (std::size_t j = 0; j < x.cols(); j += 11) {
-    EXPECT_EQ(knn.localize(x.col(j)).cell, j);
-  }
-}
-
-TEST(Knn, InvalidConstructionThrows) {
-  EXPECT_THROW(KnnLocalizer(linalg::Matrix{}, {}), std::invalid_argument);
-  EXPECT_THROW(KnnLocalizer(linalg::Matrix(2, 2), KnnOptions{0}),
-               std::invalid_argument);
-}
-
-TEST(Knn, CentroidAveragingWithDeployment) {
-  const auto& run = iup::test::office_run();
-  const auto& x = run.ground_truth.at_day(0);
-  KnnLocalizer knn(x, KnnOptions{3});
-  knn.set_deployment(&run.testbed.deployment());
-  sim::Sampler sampler(run.testbed, "knn-test");
-  double total_err = 0.0;
-  for (std::size_t j = 0; j < x.cols(); ++j) {
-    const auto y = sampler.online_measurement(j, 0, 5);
-    total_err += cell_distance_m(run.testbed.deployment(), j,
-                                 knn.localize(y).cell);
-  }
-  EXPECT_LT(total_err / static_cast<double>(x.cols()), 2.5);
-}
-
-TEST(Knn, MeasurementLengthMismatchThrows) {
-  const auto& x = iup::test::office_run().ground_truth.at_day(0);
-  const KnnLocalizer knn(x);
-  EXPECT_THROW((void)knn.localize(std::vector<double>{1.0}),
-               std::invalid_argument);
 }
 
 TEST(Localizer, CellDistance) {

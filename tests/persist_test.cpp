@@ -4,6 +4,7 @@
 // restore must be bit-identical at every kernel dispatch level.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -202,6 +203,26 @@ TEST(PersistIo, SnapshotCodecRoundTripsTheMultiRadioTable) {
   ASSERT_EQ(out->sources().size(), 2u);
   EXPECT_EQ(out->sources()[1].id, SourceId(22));
   EXPECT_EQ(out->sources()[1].technology, Technology::kBle);
+
+  // A WAL record of the same snapshot with its reference-cell count or
+  // its source count patched to 2^32 - 1: the decode fails instead of
+  // sizing a vector from the count.  The counts sit after the site name,
+  // version, day, two 2x6 matrices and the layout pair; the source count
+  // further after the two cells and the 2x6 correlation.
+  const std::vector<std::uint8_t> wal = encode_wal_record(
+      WalRecord{std::make_shared<api::FingerprintSnapshot>(snapshot), {}});
+  const std::size_t matrix_bytes = 16 + 12 * 8;
+  const std::size_t cell_count_at = 4 + 3 + 8 + 8 + 2 * matrix_bytes + 16;
+  const std::size_t source_count_at = cell_count_at + 4 + 2 * 8 + matrix_bytes;
+  for (const std::size_t at : {cell_count_at, source_count_at}) {
+    ASSERT_EQ(std::vector<std::uint8_t>(wal.begin() + at, wal.begin() + at + 4),
+              (std::vector<std::uint8_t>{2, 0, 0, 0}))
+        << "offset " << at;
+    std::vector<std::uint8_t> patched = wal;
+    std::fill_n(patched.begin() + at, 4, std::uint8_t{0xFF});
+    WalRecord record;
+    EXPECT_FALSE(decode_wal_record(patched, record)) << "offset " << at;
+  }
 }
 
 // --- pinned wire format -------------------------------------------------
@@ -430,6 +451,19 @@ TEST(PersistCheckpoint, FlippedBitInTheMagicIsDataLoss) {
   flip_byte(dir.path + "/" + kCheckpointFile, 0);
   Engine fresh;
   EXPECT_EQ(fresh.restore_from(dir.path).code(), StatusCode::kDataLoss);
+}
+
+TEST(PersistCheckpoint, FlippedBitInTheSiteCountIsDataLoss) {
+  const auto& run = iup::test::office_run();
+  TempDir dir;
+  Engine engine = office_engine(run);
+  ASSERT_TRUE(engine.save_checkpoint(dir.path).ok());
+  // Bytes 12-15 hold the little-endian site count, which no CRC covers;
+  // flipping bit 6 of byte 15 claims 2^30 + 1 sites.
+  flip_byte(dir.path + "/" + kCheckpointFile, 15);
+  Engine fresh;
+  EXPECT_EQ(fresh.restore_from(dir.path).code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(fresh.store().sites().empty());
 }
 
 TEST(PersistCheckpoint, DifferentFormatVersionIsFailedPrecondition) {

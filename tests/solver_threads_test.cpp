@@ -1,12 +1,10 @@
 // Thread-count invariance of the engine's one parallelism grain:
 // EngineConfig::threads(n) runs independent work items at once (sites in
-// update_batch, measurements in localize_batch, and under kRass the
-// per-axis SVR fits nested inside each site's update), and 1 thread and N
+// update_batch, measurements in localize_batch), and 1 thread and N
 // threads must produce bit-identical results.  These tests compare exact
 // (operator==) equality, not tolerances.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -85,59 +83,6 @@ TEST(EngineThreadInvariance, LocalizeBatchMatchesSequential) {
               serial_estimates.value()[k].cell);
     EXPECT_EQ(parallel_estimates.value()[k].score,
               serial_estimates.value()[k].score);
-  }
-}
-
-TEST(EngineThreadInvariance, RassUpdateBatchMatchesSequential) {
-  // The one nested fan-out: update_batch across sites, and inside each
-  // site's commit the kRass localizer build fans its per-axis fits out
-  // (run inline under the outer fan-out).
-  const auto& run = test::office_run();
-  const auto config = [](std::size_t threads) {
-    return api::EngineConfig()
-        .localizer(api::LocalizerKind::kRass)
-        .threads(threads);
-  };
-  api::Engine serial(config(1));
-  api::Engine parallel(config(4));
-  const std::vector<std::string> sites = {"north", "south"};
-  for (const std::string& site : sites) {
-    ASSERT_TRUE(eval::register_run(serial, run, site).ok());
-    ASSERT_TRUE(eval::register_run(parallel, run, site).ok());
-  }
-  const auto cells = serial.reference_cells("north").value();
-
-  std::vector<api::UpdateRequest> requests;
-  for (const std::size_t day : {15u, 45u}) {
-    for (const std::string& site : sites) {
-      requests.push_back(eval::collect_update_request(run, site, cells, day));
-    }
-  }
-  const auto serial_results = serial.update_batch(requests);
-  const auto parallel_results = parallel.update_batch(requests);
-  ASSERT_EQ(parallel_results.size(), serial_results.size());
-  for (std::size_t k = 0; k < requests.size(); ++k) {
-    ASSERT_TRUE(serial_results[k].ok())
-        << serial_results[k].status().to_string();
-    ASSERT_TRUE(parallel_results[k].ok())
-        << parallel_results[k].status().to_string();
-    const auto& a = *serial_results[k].value().snapshot;
-    const auto& b = *parallel_results[k].value().snapshot;
-    EXPECT_EQ(b.version(), a.version()) << "request " << k;
-    EXPECT_EQ(b.database(), a.database()) << "request " << k;
-    EXPECT_EQ(b.correlation(), a.correlation()) << "request " << k;
-  }
-
-  const auto& x = run.ground_truth.at_day(45);
-  for (const std::string& site : sites) {
-    for (std::size_t j = 0; j < x.cols(); j += 5) {
-      const auto a = serial.localize(site, x.col(j));
-      const auto b = parallel.localize(site, x.col(j));
-      ASSERT_TRUE(a.ok()) << a.status().to_string();
-      ASSERT_TRUE(b.ok()) << b.status().to_string();
-      EXPECT_EQ(b.value().cell, a.value().cell) << site << " cell " << j;
-      EXPECT_EQ(b.value().score, a.value().score) << site << " cell " << j;
-    }
   }
 }
 

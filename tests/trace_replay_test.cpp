@@ -34,8 +34,6 @@ TEST(SourceModelIdentity, SingleTechnologyReproducesOfficeTrajectory) {
   ASSERT_TRUE(eval::register_run(legacy, run, "office").ok());
   api::Engine sourced;
   ASSERT_TRUE(sourced.register_site("office", x0, run.b_mask, sources).ok());
-  ASSERT_TRUE(
-      sourced.attach_deployment("office", &run.testbed.deployment()).ok());
 
   ASSERT_EQ(legacy.reference_cells("office").value(),
             sourced.reference_cells("office").value());
