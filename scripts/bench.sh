@@ -9,7 +9,7 @@
 # Usage:
 #   scripts/bench.sh            full run (MIN_TIME=0.1s per benchmark)
 #   MIN_TIME=0.01 scripts/bench.sh   CI smoke run
-#   FILTER='BM_FullUpdate' scripts/bench.sh   subset
+#   FILTER='BM_Reconstruct' scripts/bench.sh   subset
 #   IUP_ARCH=x86-64-v3 scripts/bench.sh   pin the SIMD dispatch level
 #
 # Benches build at -march=native by default (IUP_ARCH=native): perf

@@ -79,6 +79,7 @@ ROW_NOISE_FLOORS = [
     (r"^BM_CheckpointSave", 1.0e8),
     (r"^BM_WalAppend", 1.0e8),
     (r"^BM_Recover", 1.0e8),
+    (r"^BM_CommitUpdate/1$", 1.0e8),
 ]
 
 

@@ -56,7 +56,7 @@ ctest --test-dir "$BUILD_DIR" "${CTEST_ARGS[@]}"
 # Skipped under sanitizers, where the regression gate has its own job.
 if [ -z "${SANITIZE:-}" ] && [ -x "$BUILD_DIR/bench/bench_micro_solvers" ]; then
   "$BUILD_DIR/bench/bench_micro_solvers" --benchmark_min_time=0.01 \
-      --benchmark_filter='BM_FullUpdate|BM_LocalizeBatch|BM_SpdSolveLanes|BM_OmpLocalizeNoisy'
+      --benchmark_filter='BM_Reconstruct|BM_LocalizeBatch|BM_SpdSolveLanes|BM_OmpLocalizeNoisy|BM_CommitUpdate'
 fi
 if [ -z "${SANITIZE:-}" ] && [ -x "$BUILD_DIR/bench/bench_serve_throughput" ]; then
   "$BUILD_DIR/bench/bench_serve_throughput" --benchmark_min_time=0.01 \

@@ -36,6 +36,12 @@ bool all_finite(std::span<const double> v) {
   return true;
 }
 
+std::size_t count_non_finite(const linalg::Matrix& m) {
+  std::size_t count = 0;
+  for (const double v : m.data()) count += std::isfinite(v) ? 0 : 1;
+  return count;
+}
+
 }  // namespace
 
 std::unique_ptr<loc::Localizer> make_localizer(
@@ -120,6 +126,18 @@ Status Engine::commit(const char* caller, const SnapshotPtr& base,
                       std::shared_ptr<const linalg::Matrix> factor,
                       std::shared_ptr<const core::LrrWarmStart> lrr) {
   const std::string& site = next->site();
+  // Publish-time finiteness guard: finite inputs can still overflow inside
+  // a solve, and a non-finite database must never be served.
+  for (const auto& [name, m] :
+       {std::pair<const char*, const linalg::Matrix*>{"database",
+                                                      &next->database()},
+        {"correlation", &next->correlation()}}) {
+    if (const std::size_t bad = count_non_finite(*m); bad > 0) {
+      return Status::internal(std::string(caller) + ": site '" + site +
+                              "' " + name + " has " + std::to_string(bad) +
+                              " non-finite entries; nothing committed");
+    }
+  }
   {
     const auto lock = state_lock();
     // Lost-update guard: `next` was derived from `base`, so committing on

@@ -291,7 +291,9 @@ class Engine {
       const linalg::Matrix& database);
 
   /// The one commit path of register_site, set_reference_cells and
-  /// update().  Under the commit lock, requires the site's latest snapshot
+  /// update().  First refuses (kInternal, touching nothing) a `next` whose
+  /// database or correlation holds a non-finite entry.  Then, under the
+  /// commit lock, requires the site's latest snapshot
   /// to be exactly `base` (the same object, so a drop + re-register is not
   /// mistaken for the site the work read) — or, for a registration
   /// (`base` null), the site to be absent — and fails with

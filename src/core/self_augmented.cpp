@@ -45,35 +45,49 @@ struct MaskGroup {
   std::vector<std::size_t> members;  ///< ascending column / row indices
 };
 
+/// Per R-update tile of kSpdLanes groups: the union of its lanes'
+/// unobserved row sets (the front member's), ascending, and per row the
+/// mask of lanes whose set holds it — the operands of
+/// kernels::tile_rank1_union.  Fixed for the solve: it depends only on B
+/// and the groups.
+struct TileUnions {
+  std::vector<std::size_t> idx;
+  std::vector<unsigned> lanes;
+  std::vector<std::size_t> start;  ///< tiles + 1 offsets into idx / lanes
+};
+
 /// Sweep scratch, sized once per solve.  Everything is overwritten from
-/// scratch for every system, so reuse across systems (and across sweeps)
+/// scratch for every tile, so reuse across tiles (and across sweeps)
 /// cannot leak state.
 struct Workspace {
-  // One lane tile of systems (kernels::spd_factor_lanes layout): each
-  // lane's pristine Q (diagonal and upper triangle — the failure-replay
-  // source, mirrored on replay), the interleaved factor tile and the
-  // interleaved right-hand sides.
-  std::vector<double> q_stack;   ///< kSpdLanes x rr x rr
+  // One lane tile of systems (kernels::spd_factor_lanes layout): the Q
+  // tile, its pristine copy taken before factoring (the failure-replay
+  // source) and the interleaved right-hand sides.
   std::vector<double> tile;      ///< rr x rr x kSpdLanes
+  std::vector<double> pristine;  ///< rr x rr x kSpdLanes
   std::vector<double> rhs_tile;  ///< rr x kSpdLanes
-  // Term list of one kernels::axpy_sequence call (AxpyTerms).
-  std::vector<double> alpha;
-  std::vector<const double*> x;
+  std::vector<const double*> x;  ///< term rows of an axpy_panel pass
+  std::vector<double> q_coef;    ///< rr x n: one L-update Q's downdates
   // Failure replay: the per-system path of a lane whose factor failed.
-  linalg::Matrix q;          ///< rr x rr copy of the pristine Q
+  linalg::Matrix q;          ///< rr x rr: pristine Q (also the L build's)
   std::vector<double> diag;  ///< rr, retry-ladder scratch
   linalg::Matrix panel;      ///< rr x k RHS panel of one failed group
   std::vector<double> dots;  ///< k, solve_factored_spd_multi scratch
   linalg::Matrix q_retry;    ///< per-member LU-fallback replay copy
-  // L-update Constraint-2 scratch (Theta_i stored transposed: row u of
-  // theta_t is the factor of band cell (i, u) — a contiguous copy of a row
-  // of R instead of a strided column write).
-  linalg::Matrix theta_t;  ///< slots x rr
-  linalg::Matrix tg;       ///< slots x rr: G^T Theta^T
-  linalg::Matrix gbuf;     ///< rr x rr: (Theta G)(Theta G)^T
-  linalg::Matrix ttt;      ///< rr x rr: Theta Theta^T
-  std::vector<double> neighbor_sum;  ///< slots
-  std::vector<double> contrib;       ///< rr
+  // Constraint-2 lane scratch of one tile (kernels/lane_tile.hpp layouts;
+  // idle lanes hold zeros).  R-update: each lane's band row of L.
+  // L-update: each lane's Theta_i stored transposed (row u = the factor of
+  // band cell (i, u)), the products built from it, and the lane weights.
+  std::vector<double> band;     ///< rr lane vector
+  std::vector<double> coef_a;   ///< lane weights: w2, or a slot's w2 |G|^2
+  std::vector<double> coef_b;   ///< lane weights: the w3 curvature scale
+  std::vector<double> theta;    ///< slots x rr lane panel
+  std::vector<double> tg;       ///< slots x rr lane panel: G^T Theta^T
+  std::vector<double> gbuf;     ///< rr x rr tile: (Theta G)(Theta G)^T
+  std::vector<double> ttt;      ///< rr x rr tile: Theta Theta^T
+  std::vector<double> nsum;     ///< slots lane vector: neighbour sums
+  std::vector<double> contrib;  ///< rr lane vector: Theta * nsum
+  std::vector<double> row;      ///< rr, one lane's contrib
 };
 
 struct SweepContext {
@@ -85,14 +99,12 @@ struct SweepContext {
   linalg::Matrix xd_cur;  ///< current largely-decrease estimate
   linalg::Matrix xdg;     ///< X_D * G
   // Complement-form data term: the mask B is fixed for the whole solve,
-  // so the observed/unobserved index sets per column (R-update) and per
-  // row (L-update) are scanned exactly once.  With the realistic dense
-  // masks of the no-decrease matrix (~80% observed) seeding Q with
+  // so the unobserved index sets per column (R-update) and per row
+  // (L-update) are scanned exactly once.  With the realistic dense masks
+  // of the no-decrease matrix (~80% observed) seeding Q with
   // lambda*I + L^T L and SUBTRACTING the few unobserved outer products
   // replaces ~dense-many rank-1 updates by ~(1-density)-many.
-  std::vector<std::vector<std::size_t>> obs_rows;    ///< per column j
   std::vector<std::vector<std::size_t>> unobs_rows;  ///< per column j
-  std::vector<std::vector<std::size_t>> obs_cols;    ///< per row i
   std::vector<std::vector<std::size_t>> unobs_cols;  ///< per row i
   // The systems of each half-sweep, built once per solve (the grouping
   // depends only on B, the layout and the constraint weights — all fixed
@@ -101,6 +113,18 @@ struct SweepContext {
   // are always singletons under Constraint 2 (per-row Theta curvature).
   std::vector<MaskGroup> col_groups;  ///< R-update (grid columns)
   std::vector<MaskGroup> row_groups;  ///< L-update (links)
+  TileUnions col_unions;
+  // R-update Constraint 2, per tile: the lanes' curvature weights w2c then
+  // w3c (two lane vectors, idle lanes zero), fixed with the groups.
+  std::vector<double> col_curvature;
+  // Right-hand-side coefficient panels, fixed for the solve: R-update row
+  // j holds [B o X_B](:, j) then w1 P(:, j); L-update row i holds
+  // [B o X_B](i, :) then w1 P(i, :).  An unobserved entry is an exact
+  // zero coefficient (the zero-skip contract in kernels.hpp).
+  std::vector<double> rhs_r;  ///< n x rhs_r_terms
+  std::vector<double> rhs_l;  ///< m x rhs_l_terms
+  std::size_t rhs_r_terms = 0;
+  std::size_t rhs_l_terms = 0;
   // Sweep outputs (double-buffered against l_hat / r_hat in solve()).
   linalg::Matrix r_next;
   linalg::Matrix l_next;
@@ -127,50 +151,60 @@ void symmetrize_lower(double* q, std::size_t n) {
   }
 }
 
-/// The term list of one kernels::axpy_sequence call, in Workspace storage
-/// (sized once per solve for the longest list a half-sweep builds).
-class AxpyTerms {
- public:
-  explicit AxpyTerms(Workspace& ws)
-      : alpha_(ws.alpha.data()), x_(ws.x.data()) {}
+/// Lanes [0, lanes) of a tile as a kernels::tile_* `active` mask.
+unsigned active_lanes(std::size_t lanes) {
+  return static_cast<unsigned>((std::uint64_t{1} << lanes) - 1u);
+}
 
-  void add(double alpha, const double* x) {
-    alpha_[count_] = alpha;
-    x_[count_] = x;
-    ++count_;
+/// The TileUnions of `groups`, tile by tile, over index sets drawn from
+/// [0, universe).
+TileUnions tile_unions(const std::vector<MaskGroup>& groups,
+                       const std::vector<std::vector<std::size_t>>& unobs,
+                       std::size_t universe) {
+  constexpr std::size_t w = linalg::kernels::kSpdLanes;
+  TileUnions out;
+  std::vector<unsigned> bits(universe);
+  for (std::size_t g0 = 0; g0 < groups.size(); g0 += w) {
+    out.start.push_back(out.idx.size());
+    std::fill(bits.begin(), bits.end(), 0u);
+    const std::size_t lanes = std::min(w, groups.size() - g0);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      for (const std::size_t i : unobs[groups[g0 + lane].members.front()]) {
+        bits[i] |= 1u << lane;
+      }
+    }
+    for (std::size_t i = 0; i < universe; ++i) {
+      if (bits[i] == 0) continue;
+      out.idx.push_back(i);
+      out.lanes.push_back(bits[i]);
+    }
   }
-  /// A row term of a rank-1 update: skipped when the scaled pivot is
-  /// exactly zero (the zero-skip contract in kernels.hpp).
-  void add_nonzero(double alpha, const double* x) {
-    if (alpha != 0.0) add(alpha, x);
-  }
-  /// y[0, n) += every listed term in order, then clear the list.
-  void apply(double* y, std::size_t n) {
-    linalg::kernels::axpy_sequence(alpha_, x_, count_, y, n);
-    count_ = 0;
-  }
-
- private:
-  double* alpha_;
-  const double** x_;
-  std::size_t count_ = 0;
-};
+  out.start.push_back(out.idx.size());
+  return out;
+}
 
 /// Replay one group whose lane factorisation failed through the
-/// per-system path, from its pristine Q mirrored to the full symmetric
-/// matrix: a singleton through solve_spd_into; a group through factor_spd
-/// plus one multi-RHS panel solve, or — if even the bump ladder fails —
-/// solve_spd_into per member on the restored Q (LU fallback).  The failed
-/// lane attempt itself is not counted, so the bits and SpdStats are those
-/// of the per-system path.  SpdStats granularity: a shared factorisation
-/// counts its failure and bump recovery once per group instead of once
-/// per member, and the LU replay adds one group-level failure on top of
-/// the per-member ladders (k members report k+1 failures where the same
-/// columns solved one by one report k).
-void replay_failed(const MaskGroup& grp, const double* q, Workspace& ws,
+/// per-system path, from its pristine Q (lane `lane` of ws.pristine)
+/// mirrored to the full symmetric matrix: a singleton through
+/// solve_spd_into; a group through factor_spd plus one multi-RHS panel
+/// solve, or — if even the bump ladder fails — solve_spd_into per member
+/// on the restored Q (LU fallback).  The failed lane attempt itself is not
+/// counted, so the bits and SpdStats are those of the per-system path.
+/// SpdStats granularity: a shared factorisation counts its failure and
+/// bump recovery once per group instead of once per member, and the LU
+/// replay adds one group-level failure on top of the per-member ladders
+/// (k members report k+1 failures where the same columns solved one by
+/// one report k).
+void replay_failed(const MaskGroup& grp, std::size_t lane, Workspace& ws,
                    linalg::Matrix& out) {
-  std::copy(q, q + ws.q.size(), ws.q.data().begin());
-  symmetrize_lower(ws.q.data().data(), ws.q.rows());
+  constexpr std::size_t w = linalg::kernels::kSpdLanes;
+  const std::size_t n = ws.q.rows();
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a; b < n; ++b) {
+      ws.q(a, b) = ws.pristine[(a * n + b) * w + lane];
+    }
+  }
+  symmetrize_lower(ws.q.data().data(), n);
   if (grp.members.size() == 1) {
     linalg::solve_spd_into(ws.q, out.row_span(grp.members.front()), ws.diag);
     return;
@@ -182,7 +216,6 @@ void replay_failed(const MaskGroup& grp, const double* q, Workspace& ws,
     }
     return;
   }
-  const std::size_t n = ws.q.rows();
   const std::size_t k = grp.members.size();
   ws.panel.resize(n, k);
   ws.dots.resize(k);
@@ -198,39 +231,30 @@ void replay_failed(const MaskGroup& grp, const double* q, Workspace& ws,
 }
 
 /// The batched half-sweep: build -> factor -> solve, kSpdLanes groups at a
-/// time.  `build(grp, q)` writes the group's rr x rr Q to `q` (diagonal
-/// and upper triangle; the strict lower triangle is unspecified) and each
-/// member's right-hand side into its row of
-/// `out`; on return those rows hold the solutions.  Each tile packs its
-/// groups' upper triangles into lanes (idle lanes get the identity),
-/// factors them in one spd_factor_lanes call, replays failed lanes through
-/// replay_failed, and solves the rest in member rounds: round t solves
+/// time.  On entry each member's row of `out` holds its right-hand side;
+/// on return it holds the solution.  `build(tile, g0, lanes)` writes the
+/// Q of groups [g0, g0 + lanes) straight into ws.tile (diagonal and upper
+/// triangle, idle lanes the identity) and may append terms to those
+/// members' right-hand sides.  The tile is copied to ws.pristine, factored
+/// in one spd_factor_lanes call, failed lanes replay through
+/// replay_failed, and the rest solve in member rounds: round t solves
 /// member t of every lane that has one (groups come largest first, so the
 /// lanes of a tile carry similar member counts).
 template <typename Build>
 void solve_batched(const std::vector<MaskGroup>& groups, std::size_t rr,
                    Workspace& ws, linalg::Matrix& out, const Build& build) {
   constexpr std::size_t w = linalg::kernels::kSpdLanes;
-  const std::size_t q_size = rr * rr;
-  for (std::size_t g0 = 0; g0 < groups.size(); g0 += w) {
+  for (std::size_t g0 = 0, tile = 0; g0 < groups.size(); g0 += w, ++tile) {
     const std::size_t lanes = std::min(w, groups.size() - g0);
-    for (std::size_t lane = 0; lane < w; ++lane) {
-      double* q = ws.q_stack.data() + lane * q_size;
-      if (lane < lanes) build(groups[g0 + lane], q);
-      for (std::size_t a = 0; a < rr; ++a) {
-        for (std::size_t b = a; b < rr; ++b) {
-          ws.tile[(a * rr + b) * w + lane] =
-              lane < lanes ? q[a * rr + b] : (a == b ? 1.0 : 0.0);
-        }
-      }
-    }
+    build(tile, g0, lanes);
+    std::copy(ws.tile.begin(), ws.tile.end(), ws.pristine.begin());
     const unsigned failed =
         linalg::kernels::spd_factor_lanes(ws.tile.data(), rr);
     std::size_t rounds = 0;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       const MaskGroup& grp = groups[g0 + lane];
       if ((failed >> lane) & 1u) {
-        replay_failed(grp, ws.q_stack.data() + lane * q_size, ws, out);
+        replay_failed(grp, lane, ws, out);
       } else {
         rounds = std::max(rounds, grp.members.size());
       }
@@ -439,12 +463,14 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
                                  const linalg::Matrix& l,
                                  const linalg::Matrix& r_prev,
                                  SweepContext& ctx) const {
+  constexpr std::size_t lw = linalg::kernels::kSpdLanes;
   const std::size_t m = l.rows();
   const std::size_t rr = l.cols();
   const std::size_t n = problem.b.cols();
   const bool c2 = options_.use_constraint2 && (w.w2 > 0.0 || w.w3 > 0.0);
   const bool gauss_seidel =
       options_.c2_mode == Constraint2Mode::kGaussSeidel;
+  Workspace& ws = ctx.ws;
 
   linalg::gram_into(l, ctx.ltl);
   ctx.lql = ctx.ltl;
@@ -465,93 +491,100 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
     }
   }
 
+  // Every column's right-hand side in one panel pass: the data terms then
+  // the Constraint-1 terms over the rows of L, then, per column, the
+  // Constraint-2 Gauss-Seidel cross terms.
   ctx.r_next.resize(n, rr);
-  AxpyTerms terms(ctx.ws);
-
-  // Constraint-2 Gauss-Seidel cross terms of column j, appended AFTER the
-  // data / Constraint-1 terms of its right-hand side.
-  const auto append_rhs_c2 = [&](std::size_t j, const double* l_band) {
-    const std::size_t ii = layout_.band_of(j);
-    const std::size_t jj = layout_.slot_of(j);
-    if (w.w2 > 0.0) {
-      // Cross term with the neighbouring slots of the current
-      // estimate: sum_q (XD*G)(ii,q) G(jj,q) with the self
-      // contribution removed.
-      double cross = 0.0;
-      for (std::size_t qq = 0; qq < layout_.slots; ++qq) {
-        const double others =
-            ctx.xdg(ii, qq) - ctx.xd_cur(ii, jj) * g_(jj, qq);
-        cross += others * g_(jj, qq);
+  for (std::size_t t = 0; t < ctx.rhs_r_terms; ++t) {
+    ws.x[t] = l.row_span(t % m).data();
+  }
+  linalg::kernels::axpy_panel(ctx.rhs_r.data(), ctx.rhs_r_terms, n,
+                              ws.x.data(), ctx.rhs_r_terms,
+                              ctx.r_next.data().data(), rr, rr);
+  if (c2 && gauss_seidel) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t ii = layout_.band_of(j);
+      const std::size_t jj = layout_.slot_of(j);
+      const double* l_band = l.row_span(ii).data();
+      double* c = ctx.r_next.row_span(j).data();
+      if (w.w2 > 0.0) {
+        // Cross term with the neighbouring slots of the current
+        // estimate: sum_q (XD*G)(ii,q) G(jj,q) with the self
+        // contribution removed.
+        double cross = 0.0;
+        for (std::size_t qq = 0; qq < layout_.slots; ++qq) {
+          const double others =
+              ctx.xdg(ii, qq) - ctx.xd_cur(ii, jj) * g_(jj, qq);
+          cross += others * g_(jj, qq);
+        }
+        linalg::kernels::axpy(-w.w2 * cross, l_band, c, rr);
       }
-      terms.add(-w.w2 * cross, l_band);
+      if (w.w3 > 0.0) {
+        double neighbor_sum = 0.0;
+        if (ii > 0) neighbor_sum += ctx.xd_cur(ii - 1, jj);
+        if (ii + 1 < layout_.links) neighbor_sum += ctx.xd_cur(ii + 1, jj);
+        linalg::kernels::axpy(w.w3 * neighbor_sum, l_band, c, rr);
+      }
+    }
+  }
+
+  // One tile of groups' Q, element by element across the lanes: (lambda*I
+  // + L^T L) minus the unobserved rows' outer products, then the
+  // Constraint-1 curvature, then the two Constraint-2 rank-1s of each
+  // lane's band row — per element one fixed op sequence (the mask-grouping
+  // invariant relies on identical inputs plus an identical sequence
+  // producing identical bits).
+  const auto build = [&](std::size_t tile, std::size_t g0, std::size_t lanes) {
+    linalg::kernels::tile_seed(ws.tile.data(), rr, ctx.lql.data().data(),
+                               active_lanes(lanes));
+    const TileUnions& u = ctx.col_unions;
+    const std::size_t first = u.start[tile];
+    linalg::kernels::tile_rank1_union(
+        ws.tile.data(), rr, l.data().data(), rr, u.idx.data() + first,
+        u.lanes.data() + first, u.start[tile + 1] - first);
+    if (w.w1 > 0.0) {
+      linalg::kernels::tile_axpy_shared(ws.tile.data(), rr, w.w1,
+                                        ctx.ltl.data().data(),
+                                        active_lanes(lanes));
+    }
+    if (!c2) return;
+    for (std::size_t lane = 0; lane < lw; ++lane) {
+      const double* l_band =
+          lane < lanes
+              ? l.row_span(layout_.band_of(
+                               ctx.col_groups[g0 + lane].members.front()))
+                    .data()
+              : nullptr;
+      for (std::size_t k = 0; k < rr; ++k) {
+        ws.band[k * lw + lane] = l_band != nullptr ? l_band[k] : 0.0;
+      }
+    }
+    const double* curvature = ctx.col_curvature.data() + tile * 2 * lw;
+    if (w.w2 > 0.0) {
+      linalg::kernels::tile_rank1_lanes(ws.tile.data(), rr, curvature,
+                                        ws.band.data());
     }
     if (w.w3 > 0.0) {
-      double neighbor_sum = 0.0;
-      if (ii > 0) neighbor_sum += ctx.xd_cur(ii - 1, jj);
-      if (ii + 1 < layout_.links) neighbor_sum += ctx.xd_cur(ii + 1, jj);
-      terms.add(w.w3 * neighbor_sum, l_band);
+      linalg::kernels::tile_rank1_lanes(ws.tile.data(), rr, curvature + lw,
+                                        ws.band.data());
     }
   };
-
-  // One group's system.  Q in complement form, row by row in registers:
-  // (lambda*I + L^T L) minus the unobserved rows' outer products, then the
-  // Constraint-1 curvature, then the two Constraint-2 rank-1s — per
-  // element one fixed op sequence (the mask-grouping invariant relies on
-  // identical inputs plus an identical sequence producing identical
-  // bits).  Then every member's
-  // right-hand side, also in registers: the data terms over the group's
-  // shared observed rows (the complement of the signature's unobserved
-  // set), the Constraint-1 terms, then the Constraint-2 cross terms.
-  const auto build = [&](const MaskGroup& grp, double* q) {
-    const std::size_t j0 = grp.members.front();
-    const double* l_band =
-        c2 ? l.row_span(layout_.band_of(j0)).data() : nullptr;
-    // The curvature scalars come from c2_curvature — the same helper the
-    // mask-group signature encodes.
-    const auto [w2c, w3c] = c2 ? c2_curvature(w, j0) : std::pair{0.0, 0.0};
-    std::copy(ctx.lql.data().begin(), ctx.lql.data().end(), q);
-    for (std::size_t a = 0; a < rr; ++a) {
-      const std::size_t s = linalg::kernels::upper_row_start(a, rr);
-      for (const std::size_t i : ctx.unobs_rows[j0]) {
-        const double* li = l.row_span(i).data();
-        terms.add_nonzero(-1.0 * li[a], li + s);
-      }
-      if (w.w1 > 0.0) terms.add(w.w1, ctx.ltl.row_span(a).data() + s);
-      if (c2) {
-        if (w.w2 > 0.0) terms.add_nonzero(w2c * l_band[a], l_band + s);
-        if (w.w3 > 0.0) terms.add_nonzero(w3c * l_band[a], l_band + s);
-      }
-      terms.apply(q + a * rr + s, rr - s);
-    }
-
-    for (const std::size_t j : grp.members) {
-      for (const std::size_t i : ctx.obs_rows[j0]) {
-        terms.add(problem.x_b(i, j), l.row_span(i).data());
-      }
-      if (w.w1 > 0.0) {
-        for (std::size_t i = 0; i < m; ++i) {
-          terms.add(w.w1 * problem.p(i, j), l.row_span(i).data());
-        }
-      }
-      if (c2 && gauss_seidel) append_rhs_c2(j, l_band);
-      const auto c = ctx.r_next.row_span(j);
-      std::fill(c.begin(), c.end(), 0.0);
-      terms.apply(c.data(), rr);
-    }
-  };
-  solve_batched(ctx.col_groups, rr, ctx.ws, ctx.r_next, build);
+  solve_batched(ctx.col_groups, rr, ws, ctx.r_next, build);
 }
 
 void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
                                  const linalg::Matrix& l_prev,
                                  const linalg::Matrix& r,
                                  SweepContext& ctx) const {
+  constexpr std::size_t lw = linalg::kernels::kSpdLanes;
   const std::size_t m = problem.b.rows();
   const std::size_t rr = r.cols();
   const std::size_t n = r.rows();
+  const std::size_t slots = layout_.slots;
   const bool c2 = options_.use_constraint2 && (w.w2 > 0.0 || w.w3 > 0.0);
   const bool gauss_seidel =
       options_.c2_mode == Constraint2Mode::kGaussSeidel;
+  Workspace& ws = ctx.ws;
 
   linalg::gram_into(r, ctx.rtr);
   ctx.rql = ctx.rtr;
@@ -561,113 +594,136 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
   // terms; the continuity term is exactly quadratic per row and needs no
   // cross terms.
   if (c2) {
-    ctx.xd_cur.resize(layout_.links, layout_.slots);
+    ctx.xd_cur.resize(layout_.links, slots);
     for (std::size_t i = 0; i < layout_.links; ++i) {
-      for (std::size_t u = 0; u < layout_.slots; ++u) {
+      for (std::size_t u = 0; u < slots; ++u) {
         ctx.xd_cur(i, u) = linalg::dot(l_prev.row_span(i),
                                        r.row_span(layout_.cell(i, u)));
       }
     }
   }
 
+  // Every row's right-hand side in one panel pass: the data terms then the
+  // Constraint-1 terms over the rows of R.  The similarity cross term of a
+  // row is appended by its tile's build below.
   ctx.l_next.resize(m, rr);
-  Workspace& ws = ctx.ws;
-  AxpyTerms terms(ws);
+  for (std::size_t t = 0; t < ctx.rhs_l_terms; ++t) {
+    ws.x[t] = r.row_span(t % n).data();
+  }
+  linalg::kernels::axpy_panel(ctx.rhs_l.data(), ctx.rhs_l_terms, m,
+                              ws.x.data(), ctx.rhs_l_terms,
+                              ctx.l_next.data().data(), rr, rr);
 
-  // One group's system, mirroring update_r: Q in complement form row by
-  // row in registers — (lambda*I + R^T R) minus the unobserved columns'
-  // outer products, then the Constraint-1 curvature, then (Constraint 2
-  // active, every group a single row) the row's Theta curvature — and each
-  // member row's right-hand side: data terms, Constraint-1 terms, then the
-  // similarity cross term.  Without Constraint 2, Q is mask-only and
-  // rows sharing an unobserved set share it.
-  const auto build = [&](const MaskGroup& grp, double* q) {
-    const std::size_t i = grp.members.front();
-    double w3_scale = 0.0;  // the Theta Theta^T coefficient
-    if (c2) {
-      // Theta_i stored transposed: row u of theta_t is the factor of
-      // band cell (i, u) — one contiguous copy per slot.
-      for (std::size_t u = 0; u < layout_.slots; ++u) {
-        r.copy_row_into(layout_.cell(i, u), ws.theta_t.row_span(u));
+  // Constraint 2, every group a single row i: per lane, Theta_i transposed
+  // (row u = the factor of band cell (i, u)), its curvature products
+  // (Theta G)(Theta G)^T and Theta Theta^T, and the similarity cross term
+  // w3 * Theta * neighbour_sum appended to row i's right-hand side.
+  const auto theta_products = [&](std::size_t g0, std::size_t lanes) {
+    for (std::size_t lane = 0; lane < lw; ++lane) {
+      const bool live = lane < lanes;
+      const std::size_t i = live ? ctx.row_groups[g0 + lane].members.front()
+                                 : 0;
+      for (std::size_t u = 0; u < slots; ++u) {
+        const double* ru = r.row_span(layout_.cell(i, u)).data();
+        for (std::size_t k = 0; k < rr; ++k) {
+          ws.theta[(u * rr + k) * lw + lane] = live ? ru[k] : 0.0;
+        }
       }
-      if (w.w2 > 0.0 && gauss_seidel) {
-        // Row i of X_D*G is (l_i Theta_i) G: exactly quadratic in l_i
-        // with curvature (Theta G)(Theta G)^T = gram(G^T Theta^T).
-        linalg::multiply_into(g_t_, ws.theta_t, ws.tg);
-        linalg::gram_into(ws.tg, ws.gbuf);
+      for (std::size_t u = 0; u < slots; ++u) {
+        double sum = 0.0;
+        if (live && i > 0) sum += ctx.xd_cur(i - 1, u);
+        if (live && i + 1 < layout_.links) sum += ctx.xd_cur(i + 1, u);
+        ws.nsum[u * lw + lane] = sum;
       }
-      if (w.w3 > 0.0) {
-        linalg::gram_into(ws.theta_t, ws.ttt);  // Theta Theta^T
-        if (gauss_seidel) {
-          double count = 0.0;
-          std::fill(ws.neighbor_sum.begin(), ws.neighbor_sum.end(), 0.0);
-          if (i > 0) {
-            count += 1.0;
-            for (std::size_t u = 0; u < layout_.slots; ++u) {
-              ws.neighbor_sum[u] += ctx.xd_cur(i - 1, u);
-            }
+      double count = 0.0;
+      if (live && i > 0) count += 1.0;
+      if (live && i + 1 < layout_.links) count += 1.0;
+      const double h_col_sq = i + 1 < layout_.links ? 2.0 : 1.0;
+      ws.coef_a[lane] = live ? w.w2 : 0.0;
+      ws.coef_b[lane] =
+          live ? w.w3 * (gauss_seidel ? count : h_col_sq) : 0.0;
+    }
+    if (w.w2 > 0.0 && gauss_seidel) {
+      // Row i of X_D*G is (l_i Theta_i) G: exactly quadratic in l_i with
+      // curvature (Theta G)(Theta G)^T = gram(G^T Theta^T).
+      linalg::kernels::lanes_matmul_shared(g_t_.data().data(), slots, slots,
+                                           ws.theta.data(), rr, ws.tg.data());
+      linalg::kernels::lanes_gram_upper(ws.tg.data(), slots, rr,
+                                        ws.gbuf.data());
+    }
+    if (w.w3 > 0.0) {
+      linalg::kernels::lanes_gram_upper(ws.theta.data(), slots, rr,
+                                        ws.ttt.data());
+      if (gauss_seidel) {
+        linalg::kernels::lanes_gemv(ws.nsum.data(), ws.theta.data(), slots,
+                                    rr, ws.contrib.data());
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          for (std::size_t k = 0; k < rr; ++k) {
+            ws.row[k] = ws.contrib[k * lw + lane];
           }
-          if (i + 1 < layout_.links) {
-            count += 1.0;
-            for (std::size_t u = 0; u < layout_.slots; ++u) {
-              ws.neighbor_sum[u] += ctx.xd_cur(i + 1, u);
-            }
-          }
-          w3_scale = w.w3 * count;
-          // contrib = Theta * neighbor_sum, accumulated row by row of
-          // theta_t (same ascending-u order as the dense product).
-          for (std::size_t u = 0; u < layout_.slots; ++u) {
-            terms.add(ws.neighbor_sum[u], ws.theta_t.row_span(u).data());
-          }
-          std::fill(ws.contrib.begin(), ws.contrib.end(), 0.0);
-          terms.apply(ws.contrib.data(), rr);
-        } else {
-          const double h_col_sq = i + 1 < layout_.links ? 2.0 : 1.0;
-          w3_scale = w.w3 * h_col_sq;
+          const std::size_t i = ctx.row_groups[g0 + lane].members.front();
+          linalg::kernels::axpy(w.w3, ws.row.data(),
+                                ctx.l_next.row_span(i).data(), rr);
         }
       }
     }
+  };
 
-    std::copy(ctx.rql.data().begin(), ctx.rql.data().end(), q);
-    for (std::size_t a = 0; a < rr; ++a) {
-      const std::size_t s = linalg::kernels::upper_row_start(a, rr);
-      for (const std::size_t j : ctx.unobs_cols[i]) {
-        const double* rj = r.row_span(j).data();
-        terms.add_nonzero(-1.0 * rj[a], rj + s);
-      }
-      if (w.w1 > 0.0) terms.add(w.w1, ctx.rtr.row_span(a).data() + s);
-      if (c2 && w.w2 > 0.0) {
-        if (gauss_seidel) {
-          terms.add(w.w2, ws.gbuf.row_span(a).data() + s);
-        } else {
-          for (std::size_t u = 0; u < layout_.slots; ++u) {
-            const double* theta_u = ws.theta_t.row_span(u).data();
-            terms.add_nonzero(w.w2 * row_norm_sq(g_, u) * theta_u[a],
-                              theta_u + s);
-          }
+  // One tile of groups' Q, mirroring update_r: (lambda*I + R^T R) minus
+  // the unobserved columns' outer products, then the Constraint-1
+  // curvature, then (Constraint 2 active) each row's Theta curvature.
+  // Without Constraint 2, Q is mask-only and rows sharing an unobserved
+  // set share it.  The downdates run per system, all Q rows of a lane in
+  // one axpy_panel pass over its own unobserved columns (coefficient
+  // -r_j[a] for row a, an exact zero where the per-row build skipped),
+  // written straight into the lane: a tile's union of unobserved columns
+  // is several times one row's own set, so the masked union the R-update
+  // uses measured slower here.
+  const auto build = [&](std::size_t, std::size_t g0, std::size_t lanes) {
+    if (c2) theta_products(g0, lanes);
+    const unsigned live = active_lanes(lanes);
+    // The identity in idle lanes; live lanes are overwritten below.
+    linalg::kernels::tile_seed(ws.tile.data(), rr, ctx.rql.data().data(),
+                               live);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const auto& unobs =
+          ctx.unobs_cols[ctx.row_groups[g0 + lane].members.front()];
+      const std::size_t count = unobs.size();
+      for (std::size_t t = 0; t < count; ++t) {
+        const double* rj = r.row_span(unobs[t]).data();
+        ws.x[t] = rj;
+        for (std::size_t a = 0; a < rr; ++a) {
+          ws.q_coef[a * count + t] = -1.0 * rj[a];
         }
       }
-      if (c2 && w.w3 > 0.0) {
-        terms.add(w3_scale, ws.ttt.row_span(a).data() + s);
-      }
-      terms.apply(q + a * rr + s, rr - s);
+      std::copy(ctx.rql.data().begin(), ctx.rql.data().end(),
+                ws.q.data().begin());
+      linalg::kernels::axpy_panel(ws.q_coef.data(), count, rr, ws.x.data(),
+                                  count, ws.q.data().data(), rr, rr);
+      linalg::kernels::tile_set_lane(ws.tile.data(), rr, lane,
+                                     ws.q.data().data());
     }
-
-    for (const std::size_t row : grp.members) {
-      for (const std::size_t j : ctx.obs_cols[i]) {
-        terms.add(problem.x_b(row, j), r.row_span(j).data());
-      }
-      if (w.w1 > 0.0) {
-        for (std::size_t j = 0; j < n; ++j) {
-          terms.add(w.w1 * problem.p(row, j), r.row_span(j).data());
+    if (w.w1 > 0.0) {
+      linalg::kernels::tile_axpy_shared(ws.tile.data(), rr, w.w1,
+                                        ctx.rtr.data().data(), live);
+    }
+    if (c2 && w.w2 > 0.0) {
+      if (gauss_seidel) {
+        linalg::kernels::tile_axpy_lanes(ws.tile.data(), rr, ws.coef_a.data(),
+                                         ws.gbuf.data(), live);
+      } else {
+        for (std::size_t u = 0; u < slots; ++u) {
+          const double c = w.w2 * row_norm_sq(g_, u);
+          std::fill(ws.coef_a.begin(), ws.coef_a.end(), c);
+          linalg::kernels::tile_rank1_lanes(ws.tile.data(), rr,
+                                            ws.coef_a.data(),
+                                            ws.theta.data() + u * rr * lw);
         }
       }
-      if (c2 && w.w3 > 0.0 && gauss_seidel) {
-        terms.add(w.w3, ws.contrib.data());
-      }
-      const auto c = ctx.l_next.row_span(row);
-      std::fill(c.begin(), c.end(), 0.0);
-      terms.apply(c.data(), rr);
+    }
+    if (c2 && w.w3 > 0.0) {
+      linalg::kernels::tile_axpy_lanes(ws.tile.data(), rr, ws.coef_b.data(),
+                                       ws.ttt.data(), live);
     }
   };
   solve_batched(ctx.row_groups, rr, ws, ctx.l_next, build);
@@ -701,16 +757,11 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   {
     const std::size_t m = problem.b.rows();
     const std::size_t n = problem.b.cols();
-    ctx.obs_rows.assign(n, {});
     ctx.unobs_rows.assign(n, {});
-    ctx.obs_cols.assign(m, {});
     ctx.unobs_cols.assign(m, {});
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        if (problem.b(i, j) != 0.0) {
-          ctx.obs_rows[j].push_back(i);
-          ctx.obs_cols[i].push_back(j);
-        } else {
+        if (problem.b(i, j) == 0.0) {
           ctx.unobs_rows[j].push_back(i);
           ctx.unobs_cols[i].push_back(j);
         }
@@ -791,28 +842,70 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   std::stable_sort(ctx.col_groups.begin(), ctx.col_groups.end(), by_size);
   std::stable_sort(ctx.row_groups.begin(), ctx.row_groups.end(), by_size);
 
-  // Size the sweep scratch once; steady-state sweeps then allocate
-  // nothing.  The longest axpy_sequence term list is an L-update
-  // right-hand side (observed + Constraint-1 columns) or Q row
-  // (unobserved columns, Constraint-1 and per-slot curvature).
+  // The per-tile unobserved unions and the right-hand-side coefficient
+  // panels depend only on B, X_B, P, the weights and the groups.
   {
     const std::size_t m = problem.b.rows();
     const std::size_t n = problem.b.cols();
+    ctx.col_unions = tile_unions(ctx.col_groups, ctx.unobs_rows, m);
+    if (options_.use_constraint2 && (w.w2 > 0.0 || w.w3 > 0.0)) {
+      // The curvature scalars come from c2_curvature — the same helper the
+      // mask-group signature encodes.
+      constexpr std::size_t lw = linalg::kernels::kSpdLanes;
+      const std::size_t tiles = (ctx.col_groups.size() + lw - 1) / lw;
+      ctx.col_curvature.assign(tiles * 2 * lw, 0.0);
+      for (std::size_t g = 0; g < ctx.col_groups.size(); ++g) {
+        const auto [w2c, w3c] =
+            c2_curvature(w, ctx.col_groups[g].members.front());
+        double* tile = ctx.col_curvature.data() + (g / lw) * 2 * lw;
+        tile[g % lw] = w2c;
+        tile[lw + g % lw] = w3c;
+      }
+    }
+    const bool c1 = w.w1 > 0.0;
+    ctx.rhs_r_terms = c1 ? 2 * m : m;
+    ctx.rhs_l_terms = c1 ? 2 * n : n;
+    ctx.rhs_r.assign(n * ctx.rhs_r_terms, 0.0);
+    ctx.rhs_l.assign(m * ctx.rhs_l_terms, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const double xb = problem.b(i, j) != 0.0 ? problem.x_b(i, j) : 0.0;
+        ctx.rhs_r[j * ctx.rhs_r_terms + i] = xb;
+        ctx.rhs_l[i * ctx.rhs_l_terms + j] = xb;
+        if (c1) {
+          const double wp = w.w1 * problem.p(i, j);
+          ctx.rhs_r[j * ctx.rhs_r_terms + m + i] = wp;
+          ctx.rhs_l[i * ctx.rhs_l_terms + n + j] = wp;
+        }
+      }
+    }
+  }
+
+  // Size the sweep scratch once; steady-state sweeps then allocate
+  // nothing.
+  {
     const std::size_t rr = l_hat.cols();
     constexpr std::size_t lanes = linalg::kernels::kSpdLanes;
     Workspace& ws = ctx.ws;
-    ws.q_stack.resize(lanes * rr * rr);
     ws.tile.resize(rr * rr * lanes);
+    ws.pristine.resize(rr * rr * lanes);
     ws.rhs_tile.resize(rr * lanes);
-    const std::size_t max_terms = 2 * (m + n) + layout_.slots + 4;
-    ws.alpha.resize(max_terms);
-    ws.x.resize(max_terms);
+    ws.x.resize(std::max(ctx.rhs_r_terms, ctx.rhs_l_terms));
+    ws.q_coef.resize(rr * problem.b.cols());
     ws.q.resize(rr, rr);
     ws.diag.resize(rr);
     if (options_.use_constraint2) {
-      ws.theta_t.resize(layout_.slots, rr);
-      ws.neighbor_sum.resize(layout_.slots);
-      ws.contrib.resize(rr);
+      const std::size_t slots = layout_.slots;
+      ws.band.resize(rr * lanes);
+      ws.coef_a.resize(lanes);
+      ws.coef_b.resize(lanes);
+      ws.theta.resize(slots * rr * lanes);
+      ws.tg.resize(slots * rr * lanes);
+      ws.gbuf.resize(rr * rr * lanes);
+      ws.ttt.resize(rr * rr * lanes);
+      ws.nsum.resize(slots * lanes);
+      ws.contrib.resize(rr * lanes);
+      ws.row.resize(rr);
     }
   }
 

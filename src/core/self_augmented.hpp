@@ -17,20 +17,27 @@
 // Performance: the sweep runs serially — at paper scale (6-8 links x
 // 72-120 cells) a fan-out inside one solve costs more than it saves; the
 // engine parallelises across sites instead.  Each half-sweep is one
-// batched pass, build -> factor -> solve: every independent r x r SPD
-// system (the R-update's mask groups and singleton columns, the
-// L-update's rows) has its Q built row by row in registers
-// (kernels::axpy_sequence), is packed into a tile of kernels::kSpdLanes
-// systems (8 at AVX-512, 4 at AVX2, 1 at scalar) and factored and solved
-// lane-parallel (kernels::spd_factor_lanes / spd_solve_lanes); a group's
-// members solve in "member rounds", round t taking member t of every
-// lane.  Every lane and every accumulated element replays the per-system
-// op sequence of its dispatch level, so the bits are those of the
-// one-system-at-a-time solve; a lane whose unbumped factorisation fails
-// replays through linalg::solve_spd_into / factor_spd (bump ladder, LU
-// fallback) from a pristine copy of its Q.  All sweep scratch lives in a
-// SweepContext sized once per solve, so steady-state iterations perform
-// zero heap allocations.
+// batched pass.  First every right-hand side, in one
+// kernels::axpy_panel pass over coefficient panels fixed for the solve
+// ([B o X_B] then w1 P per column / row, unobserved entries as exact
+// zeros), plus the Constraint-2 cross terms.  Then the systems (the
+// R-update's mask groups and singleton columns, the L-update's rows) in
+// tiles of kernels::kSpdLanes (8 at AVX-512, 4 at AVX2, 1 at scalar):
+// each tile's Q is built straight into the interleaved lane tile
+// (kernels/lane_tile.hpp) — the R-update element by element across the
+// lanes with lane-masked downdates over the union of the tile's
+// unobserved rows, the L-update one lane at a time with all Q rows of a
+// system in one axpy_panel pass over its own unobserved columns, its
+// Constraint-2 Theta products computed for all lanes at once — then
+// factored and solved lane-parallel (kernels::spd_factor_lanes /
+// spd_solve_lanes); a group's members solve in "member rounds", round t
+// taking member t of every lane.  Every lane and every accumulated
+// element replays the per-system op sequence of its dispatch level, so
+// the bits are those of the one-system-at-a-time solve; a lane whose
+// unbumped factorisation fails replays through linalg::solve_spd_into /
+// factor_spd (bump ladder, LU fallback) from a copy of its tile taken
+// before factoring.  All sweep scratch lives in a SweepContext sized once
+// per solve, so steady-state iterations perform zero heap allocations.
 //
 // Mask-grouping invariant (RsvdOptions::group_masks, default on).  The
 // normal matrix Q of the column-j R-update is
@@ -46,9 +53,7 @@
 // Columns that agree on (a)-(c) share Q bit for bit in every sweep (same
 // inputs, same op sequence), so the sweep groups them once per solve,
 // builds and factors each group's Q once, and solves every member against
-// that one factor.  A group's members also share the observed index set
-// (complement of the signature's unobserved set), so their right-hand
-// sides walk one list of L rows.  The same holds for L-update rows when
+// that one factor.  The same holds for L-update rows when
 // Constraint 2 is inactive (with c2 active, the per-row Theta curvature
 // makes every row's Q unique).  Without grouping every index is a group of
 // one on the same batched path, so grouped and ungrouped sweeps differ

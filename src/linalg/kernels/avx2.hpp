@@ -16,7 +16,8 @@
 //    only on the input length, never on alignment or call site.  All the
 //    *_norm_sq reductions share one tree shape, which keeps identities
 //    like diff_norm_sq(x, y) == norm_sq(x - y) exact;
-//  * the lane kernels (axpy_sequence, spd_factor_lanes, spd_solve_lanes)
+//  * the lane kernels (axpy_sequence, axpy_panel, spd_factor_lanes,
+//    spd_solve_lanes, and the generic lane-tile kernels over Lanes)
 //    replay this level's axpy / dot op sequence per element and per lane.
 #pragma once
 
@@ -84,35 +85,59 @@ inline __m256d dot_lanes(const double* a, const double* b, std::size_t n) {
   return _mm256_add_pd(r, t);
 }
 
-/// axpy_sequence body with y held in V ymm registers, the last one masked
-/// to the row end (1 <= n - 4 * (V - 1) <= 4).
-template <std::size_t V>
-inline void axpy_sequence_regs(const double* alpha, const double* const* x,
-                               std::size_t count, double* y, std::size_t n) {
+/// axpy_panel / axpy_sequence body: blocks of R rows, each held in V ymm
+/// registers (the last one masked at the row end; unmasked when it is
+/// full, e.g. the 8-link factor width), every x[t] loaded once per block.
+/// Returns the number of rows done (a multiple of R).
+template <std::size_t V, std::size_t R>
+std::size_t axpy_panel_regs(const double* coef, std::size_t ldc,
+                            std::size_t rows, const double* const* x,
+                            std::size_t count, double* y, std::size_t ldy,
+                            std::size_t n) {
   const auto rem = static_cast<long long>(n - 4 * (V - 1));
   const __m256i m = _mm256_cmpgt_epi64(_mm256_set1_epi64x(rem),
                                        _mm256_setr_epi64x(0, 1, 2, 3));
-  const bool full = rem == 4;  // unmasked, e.g. the 8-link factor width
+  const bool full = rem == 4;
   const auto load_last = [&](const double* p) {
     return full ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, m);
   };
-  __m256d acc[V];
-  for (std::size_t v = 0; v + 1 < V; ++v) acc[v] = _mm256_loadu_pd(y + 4 * v);
-  acc[V - 1] = load_last(y + 4 * (V - 1));
-  for (std::size_t t = 0; t < count; ++t) {
-    const __m256d va = _mm256_set1_pd(alpha[t]);
-    const double* xt = x[t];
-    for (std::size_t v = 0; v + 1 < V; ++v) {
-      acc[v] = _mm256_fmadd_pd(va, _mm256_loadu_pd(xt + 4 * v), acc[v]);
+  std::size_t c = 0;
+  for (; c + R <= rows; c += R) {
+    __m256d acc[R][V];
+    for (std::size_t r = 0; r < R; ++r) {
+      const double* yr = y + (c + r) * ldy;
+      for (std::size_t v = 0; v + 1 < V; ++v) {
+        acc[r][v] = _mm256_loadu_pd(yr + 4 * v);
+      }
+      acc[r][V - 1] = load_last(yr + 4 * (V - 1));
     }
-    acc[V - 1] = _mm256_fmadd_pd(va, load_last(xt + 4 * (V - 1)), acc[V - 1]);
+    const double* k = coef + c * ldc;
+    for (std::size_t t = 0; t < count; ++t) {
+      __m256d xt[V];
+      for (std::size_t v = 0; v + 1 < V; ++v) {
+        xt[v] = _mm256_loadu_pd(x[t] + 4 * v);
+      }
+      xt[V - 1] = load_last(x[t] + 4 * (V - 1));
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m256d a = _mm256_set1_pd(k[r * ldc + t]);
+        for (std::size_t v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_fmadd_pd(a, xt[v], acc[r][v]);
+        }
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      double* yr = y + (c + r) * ldy;
+      for (std::size_t v = 0; v + 1 < V; ++v) {
+        _mm256_storeu_pd(yr + 4 * v, acc[r][v]);
+      }
+      if (full) {
+        _mm256_storeu_pd(yr + 4 * (V - 1), acc[r][V - 1]);
+      } else {
+        _mm256_maskstore_pd(yr + 4 * (V - 1), m, acc[r][V - 1]);
+      }
+    }
   }
-  for (std::size_t v = 0; v + 1 < V; ++v) _mm256_storeu_pd(y + 4 * v, acc[v]);
-  if (full) {
-    _mm256_storeu_pd(y + 4 * (V - 1), acc[V - 1]);
-  } else {
-    _mm256_maskstore_pd(y + 4 * (V - 1), m, acc[V - 1]);
-  }
+  return c;
 }
 
 }  // namespace detail
@@ -325,20 +350,82 @@ inline void axpy_sequence(const double* alpha, const double* const* x,
     case 0:
       return;
     case 1:
-      return detail::axpy_sequence_regs<1>(alpha, x, count, y, n);
+      detail::axpy_panel_regs<1, 1>(alpha, count, 1, x, count, y, n, n);
+      return;
     case 2:
-      return detail::axpy_sequence_regs<2>(alpha, x, count, y, n);
+      detail::axpy_panel_regs<2, 1>(alpha, count, 1, x, count, y, n, n);
+      return;
     case 3:
-      return detail::axpy_sequence_regs<3>(alpha, x, count, y, n);
+      detail::axpy_panel_regs<3, 1>(alpha, count, 1, x, count, y, n, n);
+      return;
     case 4:
-      return detail::axpy_sequence_regs<4>(alpha, x, count, y, n);
+      detail::axpy_panel_regs<4, 1>(alpha, count, 1, x, count, y, n, n);
+      return;
     default:
       for (std::size_t t = 0; t < count; ++t) axpy(alpha[t], x[t], y, n);
   }
 }
 
+/// Panel of ordered axpy sequences: row c of y (leading dimension ldy)
+/// gets axpy_sequence(coef + c * ldc, x, count, ., n), bit for bit — per
+/// element the same FMA chain, t ascending — with R rows of V ymm each
+/// interleaved over one load of each x[t]: four rows for n <= 8, two for
+/// n <= 16.  Leftover rows and longer rows run axpy_sequence.
+inline void axpy_panel(const double* coef, std::size_t ldc, std::size_t rows,
+                       const double* const* x, std::size_t count, double* y,
+                       std::size_t ldy, std::size_t n) {
+  std::size_t c = 0;
+  switch ((n + 3) / 4) {
+    case 1:
+      c = detail::axpy_panel_regs<1, 4>(coef, ldc, rows, x, count, y, ldy, n);
+      break;
+    case 2:
+      c = detail::axpy_panel_regs<2, 4>(coef, ldc, rows, x, count, y, ldy, n);
+      break;
+    case 3:
+      c = detail::axpy_panel_regs<3, 2>(coef, ldc, rows, x, count, y, ldy, n);
+      break;
+    case 4:
+      c = detail::axpy_panel_regs<4, 2>(coef, ldc, rows, x, count, y, ldy, n);
+      break;
+    default:
+      break;
+  }
+  for (; c < rows; ++c) {
+    axpy_sequence(coef + c * ldc, x, count, y + c * ldy, n);
+  }
+}
+
+/// Lane-vector ops of the generic lane-tile kernels (kernels/lane_tile.hpp):
+/// one ymm holds one element of all 4 systems of a tile, fma is this
+/// level's axpy element op, and lane masks select through blends.
+struct Lanes {
+  static constexpr std::size_t kWidth = 4;
+  using Vec = __m256d;
+  using Mask = __m256d;
+  static Vec load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
+  static Vec set1(double v) { return _mm256_set1_pd(v); }
+  static Vec mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
+  static Vec fma(Vec a, Vec b, Vec c) { return _mm256_fmadd_pd(a, b, c); }
+  static Mask mask(unsigned bits) {
+    const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
+    return _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x(bits), lane_bit), lane_bit));
+  }
+  /// fma(a, b, c) in the lanes of m, c elsewhere.
+  static Vec fma_if(Mask m, Vec a, Vec b, Vec c) {
+    return _mm256_blendv_pd(c, _mm256_fmadd_pd(a, b, c), m);
+  }
+  /// Bit mask of the lanes whose value is not == 0 (NaN included).
+  static unsigned nonzero(Vec v) {
+    return static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_NEQ_UQ)));
+  }
+};
+
 /// Systems per lane tile: one per ymm lane.
-inline constexpr std::size_t kSpdLanes = 4;
+inline constexpr std::size_t kSpdLanes = Lanes::kWidth;
 
 /// Lane-batched R^T R factorisation of 4 interleaved n x n systems
 /// (tile[(a * n + b) * 4 + lane], diagonal + strict upper triangle).

@@ -23,7 +23,8 @@
 //    like diff_norm_sq(x, y) == norm_sq(x - y) exact;
 //  * dot_panel reproduces THIS level's dot tree per RHS column while
 //    vectorising across columns (see the contract in kernels.hpp);
-//  * the lane kernels (axpy_sequence, spd_factor_lanes, spd_solve_lanes)
+//  * the lane kernels (axpy_sequence, axpy_panel, spd_factor_lanes,
+//    spd_solve_lanes, and the generic lane-tile kernels over Lanes)
 //    replay this level's axpy / dot op sequence per element and per lane.
 #pragma once
 
@@ -344,8 +345,92 @@ inline void axpy_sequence(const double* alpha, const double* const* x,
   _mm512_mask_storeu_pd(y + 8, m, hi);
 }
 
+/// Panel of ordered axpy sequences: row c of y (leading dimension ldy)
+/// gets axpy_sequence(coef + c * ldc, x, count, ., n), bit for bit — per
+/// element the same FMA chain, t ascending — with several rows' chains
+/// interleaved over one load of each x[t]: four rows of one zmm for
+/// n <= 8, two rows of two for n <= 16.  Leftover rows and longer rows
+/// run axpy_sequence.
+inline void axpy_panel(const double* coef, std::size_t ldc, std::size_t rows,
+                       const double* const* x, std::size_t count, double* y,
+                       std::size_t ldy, std::size_t n) {
+  std::size_t c = 0;
+  if (n <= 8) {
+    const auto m = static_cast<__mmask8>((1u << n) - 1u);
+    for (; c + 4 <= rows; c += 4) {
+      const double* k = coef + c * ldc;
+      double* yc = y + c * ldy;
+      __m512d acc0 = _mm512_maskz_loadu_pd(m, yc);
+      __m512d acc1 = _mm512_maskz_loadu_pd(m, yc + ldy);
+      __m512d acc2 = _mm512_maskz_loadu_pd(m, yc + 2 * ldy);
+      __m512d acc3 = _mm512_maskz_loadu_pd(m, yc + 3 * ldy);
+      for (std::size_t t = 0; t < count; ++t) {
+        const __m512d xt = _mm512_maskz_loadu_pd(m, x[t]);
+        acc0 = _mm512_fmadd_pd(_mm512_set1_pd(k[t]), xt, acc0);
+        acc1 = _mm512_fmadd_pd(_mm512_set1_pd(k[ldc + t]), xt, acc1);
+        acc2 = _mm512_fmadd_pd(_mm512_set1_pd(k[2 * ldc + t]), xt, acc2);
+        acc3 = _mm512_fmadd_pd(_mm512_set1_pd(k[3 * ldc + t]), xt, acc3);
+      }
+      _mm512_mask_storeu_pd(yc, m, acc0);
+      _mm512_mask_storeu_pd(yc + ldy, m, acc1);
+      _mm512_mask_storeu_pd(yc + 2 * ldy, m, acc2);
+      _mm512_mask_storeu_pd(yc + 3 * ldy, m, acc3);
+    }
+  } else if (n <= 16) {
+    const auto m = static_cast<__mmask8>((1u << (n - 8)) - 1u);
+    for (; c + 2 <= rows; c += 2) {
+      const double* k = coef + c * ldc;
+      double* yc = y + c * ldy;
+      __m512d lo0 = _mm512_loadu_pd(yc);
+      __m512d hi0 = _mm512_maskz_loadu_pd(m, yc + 8);
+      __m512d lo1 = _mm512_loadu_pd(yc + ldy);
+      __m512d hi1 = _mm512_maskz_loadu_pd(m, yc + ldy + 8);
+      for (std::size_t t = 0; t < count; ++t) {
+        const __m512d xlo = _mm512_loadu_pd(x[t]);
+        const __m512d xhi = _mm512_maskz_loadu_pd(m, x[t] + 8);
+        const __m512d a0 = _mm512_set1_pd(k[t]);
+        const __m512d a1 = _mm512_set1_pd(k[ldc + t]);
+        lo0 = _mm512_fmadd_pd(a0, xlo, lo0);
+        hi0 = _mm512_fmadd_pd(a0, xhi, hi0);
+        lo1 = _mm512_fmadd_pd(a1, xlo, lo1);
+        hi1 = _mm512_fmadd_pd(a1, xhi, hi1);
+      }
+      _mm512_storeu_pd(yc, lo0);
+      _mm512_mask_storeu_pd(yc + 8, m, hi0);
+      _mm512_storeu_pd(yc + ldy, lo1);
+      _mm512_mask_storeu_pd(yc + ldy + 8, m, hi1);
+    }
+  }
+  for (; c < rows; ++c) {
+    axpy_sequence(coef + c * ldc, x, count, y + c * ldy, n);
+  }
+}
+
+/// Lane-vector ops of the generic lane-tile kernels (kernels/lane_tile.hpp):
+/// one zmm holds one element of all 8 systems of a tile, and fma is this
+/// level's axpy element op.
+struct Lanes {
+  static constexpr std::size_t kWidth = 8;
+  using Vec = __m512d;
+  using Mask = __mmask8;
+  static Vec load(const double* p) { return _mm512_loadu_pd(p); }
+  static void store(double* p, Vec v) { _mm512_storeu_pd(p, v); }
+  static Vec set1(double v) { return _mm512_set1_pd(v); }
+  static Vec mul(Vec a, Vec b) { return _mm512_mul_pd(a, b); }
+  static Vec fma(Vec a, Vec b, Vec c) { return _mm512_fmadd_pd(a, b, c); }
+  static Mask mask(unsigned bits) { return static_cast<__mmask8>(bits); }
+  /// fma(a, b, c) in the lanes of m, c elsewhere.
+  static Vec fma_if(Mask m, Vec a, Vec b, Vec c) {
+    return _mm512_mask3_fmadd_pd(a, b, c, m);
+  }
+  /// Bit mask of the lanes whose value is not == 0 (NaN included).
+  static unsigned nonzero(Vec v) {
+    return _mm512_cmp_pd_mask(v, _mm512_setzero_pd(), _CMP_NEQ_UQ);
+  }
+};
+
 /// Systems per lane tile: one per zmm lane.
-inline constexpr std::size_t kSpdLanes = 8;
+inline constexpr std::size_t kSpdLanes = Lanes::kWidth;
 
 /// Lane-batched R^T R factorisation of 8 interleaved n x n systems
 /// (tile[(a * n + b) * 8 + lane], diagonal + strict upper triangle).

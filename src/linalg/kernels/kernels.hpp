@@ -9,8 +9,11 @@
 //
 //   kernels::dot / axpy / axpy2 / norm_sq /
 //   diff_norm_sq / masked_diff_norm_sq /
-//   dot_panel / axpy_sequence /
+//   dot_panel / axpy_sequence / axpy_panel /
 //   spd_factor_lanes / spd_solve_lanes  — forward to the active level
+//   kernels::tile_* / lanes_*            — lane-tile builds, written once
+//                                          over the level's Lanes ops
+//                                          (kernels/lane_tile.hpp)
 //   kernels::gemm_accumulate             — register-blocked packed GEMM
 //                                          (kernels/gemm.hpp)
 //   kernels::scalar::*                   — always available (reference)
@@ -39,7 +42,14 @@
 //  * The lane kernels are held to the same per-element / per-lane
 //    promise.  axpy_sequence(alpha, x, count, y, n) is bit-identical to
 //    axpy(alpha[t], x[t], y, n) for t = 0 .. count-1 in order (it keeps y
-//    in registers instead of memory).  spd_factor_lanes + spd_solve_lanes
+//    in registers instead of memory).  axpy_panel(coef, ldc, rows, x,
+//    count, y, ldy, n) is, row by row, bit-identical to
+//    axpy_sequence(coef + c * ldc, x, count, y + c * ldy, n) (it runs
+//    several rows' chains at once over one load of each x[t]).  The
+//    lane-tile kernels (lane_tile.hpp) give every lane of a tile exactly
+//    the element chain of the per-system axpy_sequence build they replace
+//    — same terms, same order, same zero-skips — and leave the lanes
+//    outside their `active` mask untouched.  spd_factor_lanes + spd_solve_lanes
 //    factor and solve kSpdLanes interleaved SPD systems at once (8 at
 //    AVX-512, 4 at AVX2, 1 at scalar), and every lane is bit-identical to
 //    linalg::cholesky_upper_in_place + solve_factored_spd at that same
@@ -47,12 +57,14 @@
 //    substitution through this level's dot() tree per lane (dot_panel's
 //    replay with `a` loaded per lane) — and fails exactly when that
 //    factorisation fails.  The batched sweep (core/self_augmented.cpp)
-//    relies on both to keep every committed bit.
+//    relies on all of them to keep every committed bit.
 //  * Zero-skips (the rank-1 row skips of gram_into and the sweep's Q
 //    build, the multiply_into pivot skip) are exact no-ops on finite
 //    data: a contribution 0.0 * v adds +/-0, and an accumulator seeded
 //    with +0 can never round to -0, so skipping cannot change any finite
-//    result.
+//    result.  The same argument lets the sweep's right-hand-side panels
+//    carry an unobserved entry as an exact zero coefficient instead of
+//    skipping its term.
 #pragma once
 
 #include <cstddef>
@@ -153,6 +165,17 @@ inline void axpy_sequence(const double* alpha, const double* const* x,
   active::axpy_sequence(alpha, x, count, y, n);
 }
 
+/// Row c of y (leading dimension ldy) += coef[c * ldc + t] * x[t] for
+/// t = 0 .. count-1 in order, c in [0, rows) — per row bit-identical to
+/// axpy_sequence(coef + c * ldc, x, count, y + c * ldy, n), with several
+/// rows in registers at once for n <= 16.  The sweep's right-hand sides
+/// (core/self_augmented.cpp) run through it, one panel per half-sweep.
+inline void axpy_panel(const double* coef, std::size_t ldc, std::size_t rows,
+                       const double* const* x, std::size_t count, double* y,
+                       std::size_t ldy, std::size_t n) {
+  active::axpy_panel(coef, ldc, rows, x, count, y, ldy, n);
+}
+
 /// First column of an upper-triangle row build with axpy_sequence: row a
 /// of an n x n symmetric matrix needs columns a .. n-1, and starting at
 /// most 8 columns from the end (column 0 when n <= 8) keeps the row in one
@@ -183,3 +206,5 @@ inline void spd_solve_lanes(const double* tile, double* rhs, std::size_t n) {
 }
 
 }  // namespace iup::linalg::kernels
+
+#include "linalg/kernels/lane_tile.hpp"

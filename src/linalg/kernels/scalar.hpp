@@ -87,8 +87,40 @@ inline void axpy_sequence(const double* alpha, const double* const* x,
   for (std::size_t t = 0; t < count; ++t) axpy(alpha[t], x[t], y, n);
 }
 
+/// Panel of ordered axpy sequences: row c of y (leading dimension ldy)
+/// gets axpy_sequence(coef + c * ldc, x, count, ., n) — at this level
+/// exactly that call per row.
+inline void axpy_panel(const double* coef, std::size_t ldc, std::size_t rows,
+                       const double* const* x, std::size_t count, double* y,
+                       std::size_t ldy, std::size_t n) {
+  for (std::size_t c = 0; c < rows; ++c) {
+    axpy_sequence(coef + c * ldc, x, count, y + c * ldy, n);
+  }
+}
+
+/// Lane-vector ops of the generic lane-tile kernels (kernels/lane_tile.hpp).
+/// One lane: a lane vector is one double, and fma is axpy's element
+/// expression, so every lane-tile kernel reduces to the per-system loop.
+struct Lanes {
+  static constexpr std::size_t kWidth = 1;
+  using Vec = double;
+  using Mask = bool;
+  static Vec load(const double* p) { return *p; }
+  static void store(double* p, Vec v) { *p = v; }
+  static Vec set1(double v) { return v; }
+  static Vec mul(Vec a, Vec b) { return a * b; }
+  static Vec fma(Vec a, Vec b, Vec c) { return c + a * b; }
+  static Mask mask(unsigned bits) { return (bits & 1u) != 0; }
+  /// fma(a, b, c) in the lanes of m, c elsewhere.
+  static Vec fma_if(Mask m, Vec a, Vec b, Vec c) {
+    return m ? c + a * b : c;
+  }
+  /// Bit mask of the lanes whose value is not == 0 (NaN included).
+  static unsigned nonzero(Vec v) { return v != 0.0 ? 1u : 0u; }
+};
+
 /// Systems per lane tile of spd_factor_lanes / spd_solve_lanes.
-inline constexpr std::size_t kSpdLanes = 1;
+inline constexpr std::size_t kSpdLanes = Lanes::kWidth;
 
 /// Lane-batched SPD factorisation a = R^T R of kSpdLanes n x n systems
 /// interleaved as tile[(a * n + b) * kSpdLanes + lane]; reads and writes

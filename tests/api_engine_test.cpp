@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -200,6 +202,44 @@ TEST(EngineErrors, NonFiniteUpdateInputsAreRejectedBeforeAnyMutation) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.localize_batch("office", {query}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(EngineErrors, UpdateThatOverflowsToNonFiniteDatabaseIsNotPublished) {
+  // Finite inputs pass the input gate, but at 1e200 the solve overflows
+  // and every reconstructed entry goes non-finite.  With the correlation
+  // refresh off nothing else trips over it, so only the publish-time
+  // finiteness guard in commit() stands between it and the readers.
+  const auto& run = iup::test::office_run();
+  Engine engine =
+      office_engine(run, EngineConfig().refresh_correlation(false));
+  const auto cells = engine.reference_cells("office").value();
+  const SnapshotPtr v1 = engine.snapshot("office").value();
+  const serve::PublishedPtr served = engine.published("office").value();
+  const std::vector<double> query = run.ground_truth.at_day(45).col(17);
+  const auto before = engine.localize("office", query);
+  ASSERT_TRUE(before.ok()) << before.status().to_string();
+  ASSERT_TRUE(std::isfinite(before.value().score));
+  const std::uint64_t failed_before =
+      engine.site_health("office").value().updates_failed;
+
+  UpdateRequest huge = eval::collect_update_request(run, "office", cells, 45);
+  for (double& v : huge.inputs.x_b.data()) v *= 1e200;
+  for (double& v : huge.inputs.x_r.data()) v *= 1e200;
+  const auto result = engine.update(huge);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("non-finite"), std::string::npos)
+      << result.status().message();
+
+  EXPECT_EQ(engine.store().version_count("office"), 1u);
+  EXPECT_EQ(engine.snapshot("office").value(), v1);
+  EXPECT_EQ(engine.published("office").value(), served);
+  const auto after = engine.localize("office", query);
+  ASSERT_TRUE(after.ok()) << after.status().to_string();
+  EXPECT_EQ(after.value().cell, before.value().cell);
+  EXPECT_EQ(after.value().score, before.value().score);
+  EXPECT_EQ(engine.site_health("office").value().updates_failed,
+            failed_before + 1);
 }
 
 TEST(EngineHealth, SiteHealthTracksServingAndUpdateOutcomes) {

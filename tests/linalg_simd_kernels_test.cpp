@@ -324,6 +324,49 @@ TEST(KernelAxpySequence, BitIdenticalToRepeatedAxpy) {
   }
 }
 
+TEST(KernelAxpyPanel, EveryRowBitIdenticalToAxpySequence) {
+  // Each panel row against axpy_sequence over the same term list, across
+  // the register-block widths (1..17 and the >16 fallback at 24), partial
+  // row blocks (rows 1..9), an empty term list, exact zero and -0.0
+  // coefficients, and +0.0 / -0.0 accumulator entries.  Padded leading
+  // dimensions catch a kernel that assumes packed rows.
+  rng::Rng rng(115);
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 1; n <= 17; ++n) widths.push_back(n);
+  widths.push_back(24);
+  for (const std::size_t n : widths) {
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      for (const std::size_t count : {0ul, 1ul, 3ul, 10ul}) {
+        const std::size_t ldc = count + 2;
+        const std::size_t ldy = n + 3;
+        std::vector<double> coef(rows * ldc);
+        for (std::size_t i = 0; i < coef.size(); ++i) {
+          coef[i] = i % 5 == 1 ? 0.0 : i % 5 == 3 ? -0.0 : rng.normal();
+        }
+        std::vector<std::vector<double>> xs(count);
+        std::vector<const double*> x(count);
+        for (std::size_t t = 0; t < count; ++t) {
+          xs[t] = random_vec(n, rng);
+          x[t] = xs[t].data();
+        }
+        auto y = random_vec(rows * ldy, rng);
+        for (std::size_t i = 0; i < y.size(); i += 4) y[i] = 0.0;
+        for (std::size_t i = 2; i < y.size(); i += 4) y[i] = -0.0;
+        auto expect = y;
+        for (std::size_t c = 0; c < rows; ++c) {
+          axpy_sequence(coef.data() + c * ldc, x.data(), count,
+                        expect.data() + c * ldy, n);
+        }
+        axpy_panel(coef.data(), ldc, rows, x.data(), count, y.data(), ldy,
+                   n);
+        EXPECT_EQ(bits(y), bits(expect))
+            << "n=" << n << " rows=" << rows << " count=" << count
+            << " level=" << active_level_name();
+      }
+    }
+  }
+}
+
 TEST(KernelAxpySequence, GramIntoMatchesRankOneLoop) {
   // gram_into's register rows against one rank-1 update of the upper
   // triangle per row of a (row-suffix axpys, zero pivots skipped), with

@@ -263,6 +263,273 @@ TEST(SpdLanes, FailureMaskIsExactAndGoodLanesUnaffected) {
 }
 
 // ---------------------------------------------------------------------------
+// Lane-tile Q build (kernels/lane_tile.hpp) against the per-system build.
+// ---------------------------------------------------------------------------
+
+/// The Q-defining terms of one system, in the sweep's order: the
+/// unobserved downdates over its own ascending rows of x, the shared
+/// Constraint-1 matrix term, two rank-1 terms of its band row (the
+/// R-update's Constraint-2 curvature) and one matrix term of its own (the
+/// L-update's Theta curvature).
+struct SystemTerms {
+  std::vector<std::size_t> unobs;
+  double c2 = 0.0;
+  double c3 = 0.0;
+  std::vector<double> band;
+  double ct = 0.0;
+  linalg::Matrix t;
+};
+
+/// The per-system Q build the lane tile replaces, kept as the reference:
+/// per upper-triangle row a, one axpy_sequence over the row-suffix terms
+/// in order, with the rank-1 terms skipped where their scaled pivot is
+/// exactly zero.
+linalg::Matrix reference_q(const linalg::Matrix& seed, const linalg::Matrix& x,
+                           double w1, const linalg::Matrix& m1,
+                           const SystemTerms& st) {
+  const std::size_t n = seed.rows();
+  linalg::Matrix q = seed;
+  std::vector<double> alpha;
+  std::vector<const double*> xs;
+  const auto add_nonzero = [&](double a, const double* v) {
+    if (a != 0.0) {
+      alpha.push_back(a);
+      xs.push_back(v);
+    }
+  };
+  for (std::size_t a = 0; a < n; ++a) {
+    const std::size_t s = linalg::kernels::upper_row_start(a, n);
+    alpha.clear();
+    xs.clear();
+    for (const std::size_t i : st.unobs) {
+      const double* xi = x.row_span(i).data();
+      add_nonzero(-1.0 * xi[a], xi + s);
+    }
+    alpha.push_back(w1);
+    xs.push_back(m1.row_span(a).data() + s);
+    add_nonzero(st.c2 * st.band[a], st.band.data() + s);
+    add_nonzero(st.c3 * st.band[a], st.band.data() + s);
+    alpha.push_back(st.ct);
+    xs.push_back(st.t.row_span(a).data() + s);
+    linalg::kernels::axpy_sequence(alpha.data(), xs.data(), alpha.size(),
+                                   q.row_span(a).data() + s, n - s);
+  }
+  return q;
+}
+
+/// The same systems built straight into one lane tile, the sweep's way.
+std::vector<double> build_tile(const linalg::Matrix& seed,
+                               const linalg::Matrix& x, double w1,
+                               const linalg::Matrix& m1,
+                               const std::vector<SystemTerms>& systems) {
+  const std::size_t n = seed.rows();
+  const unsigned live = (1u << systems.size()) - 1u;
+  std::vector<double> tile(n * n * kLanes, -7.0);
+  linalg::kernels::tile_seed(tile.data(), n, seed.data().data(), live);
+  std::vector<std::size_t> idx;
+  std::vector<unsigned> lanes;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    unsigned bits_i = 0;
+    for (std::size_t lane = 0; lane < systems.size(); ++lane) {
+      const auto& u = systems[lane].unobs;
+      if (std::find(u.begin(), u.end(), i) != u.end()) bits_i |= 1u << lane;
+    }
+    if (bits_i != 0) {
+      idx.push_back(i);
+      lanes.push_back(bits_i);
+    }
+  }
+  linalg::kernels::tile_rank1_union(tile.data(), n, x.data().data(), n,
+                                    idx.data(), lanes.data(), idx.size());
+  linalg::kernels::tile_axpy_shared(tile.data(), n, w1, m1.data().data(),
+                                    live);
+  std::vector<double> c2(kLanes, 0.0), c3(kLanes, 0.0), ct(kLanes, 0.0);
+  std::vector<double> band(n * kLanes, 0.0), t(n * n * kLanes, 0.0);
+  for (std::size_t lane = 0; lane < systems.size(); ++lane) {
+    c2[lane] = systems[lane].c2;
+    c3[lane] = systems[lane].c3;
+    ct[lane] = systems[lane].ct;
+    for (std::size_t k = 0; k < n; ++k) {
+      band[k * kLanes + lane] = systems[lane].band[k];
+      for (std::size_t b = 0; b < n; ++b) {
+        t[(k * n + b) * kLanes + lane] = systems[lane].t(k, b);
+      }
+    }
+  }
+  linalg::kernels::tile_rank1_lanes(tile.data(), n, c2.data(), band.data());
+  linalg::kernels::tile_rank1_lanes(tile.data(), n, c3.data(), band.data());
+  linalg::kernels::tile_axpy_lanes(tile.data(), n, ct.data(), t.data(), live);
+  return tile;
+}
+
+/// Random systems over a shared factor x: ascending unobserved sets of
+/// varying size (one empty, one full), exact-zero pivots in x and the
+/// band rows, and a lane whose band weight is zero.
+std::vector<SystemTerms> random_systems(std::size_t used, std::size_t n,
+                                        const linalg::Matrix& x,
+                                        rng::Rng& rng) {
+  std::vector<SystemTerms> systems(used);
+  for (std::size_t lane = 0; lane < used; ++lane) {
+    SystemTerms& st = systems[lane];
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      const bool full = lane == 1;
+      const bool empty = lane == 2;
+      if (full || (!empty && rng.uniform() < 0.4)) st.unobs.push_back(i);
+    }
+    st.c2 = lane == 3 ? 0.0 : rng.uniform();
+    st.c3 = rng.uniform();
+    st.band = test::random_matrix(n, 1, rng).col(0);
+    st.band[lane % n] = 0.0;
+    st.ct = rng.uniform();
+    st.t = random_spd(n, rng);
+  }
+  return systems;
+}
+
+TEST(LaneTileBuild, EveryLaneMatchesThePerSystemBuild) {
+  rng::Rng rng(313);
+  for (const std::size_t n : {3ul, 6ul, 8ul, 9ul, 17ul}) {
+    for (const std::size_t used : {kLanes, kLanes > 1 ? kLanes - 1 : 1}) {
+      linalg::Matrix x = test::random_matrix(n + 5, n, rng);
+      for (std::size_t i = 0; i < x.rows(); i += 3) x(i, i % n) = 0.0;
+      const linalg::Matrix seed = random_spd(n, rng);
+      const linalg::Matrix m1 = random_spd(n, rng);
+      const double w1 = 0.75;
+      const auto systems = random_systems(used, n, x, rng);
+      const std::vector<double> tile = build_tile(seed, x, w1, m1, systems);
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        const linalg::Matrix q =
+            lane < used ? reference_q(seed, x, w1, m1, systems[lane])
+                        : linalg::Matrix::identity(n);
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = a; b < n; ++b) {
+            EXPECT_EQ(bits(tile[(a * n + b) * kLanes + lane]), bits(q(a, b)))
+                << "n=" << n << " used=" << used << " lane=" << lane << " ("
+                << a << "," << b << ") level="
+                << linalg::kernels::active_level_name();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneTileBuild, FailedLaneIsFlaggedAndItsPristineQIsThePerSystemQ) {
+  // One lane downdates every row of its own seed gram x^T x with lambda 0,
+  // leaving rounding noise (the all-unobserved column of the sweep): the
+  // lane factorisation must flag exactly the lanes whose plain factor
+  // fails, and the copy taken before factoring — the sweep's replay
+  // source — must hold that lane's per-system Q bit for bit.
+  rng::Rng rng(314);
+  for (const std::size_t n : {3ul, 8ul, 9ul}) {
+    const linalg::Matrix x = test::random_matrix(n + 2, n, rng);
+    const linalg::Matrix seed = x.gram();
+    const linalg::Matrix zero(n, n, 0.0);
+    std::vector<SystemTerms> systems(kLanes);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      SystemTerms& st = systems[lane];
+      for (std::size_t i = 0; i < x.rows(); ++i) {
+        if (lane == 0 || i % 3 == lane % 3) st.unobs.push_back(i);
+      }
+      st.band.assign(n, 0.0);
+      st.t = linalg::Matrix::identity(n);
+      st.ct = lane == 0 ? 0.0 : 1.0;
+    }
+    std::vector<double> tile = build_tile(seed, x, 0.0, zero, systems);
+    const std::vector<double> pristine = tile;
+    unsigned expect_mask = 0;
+    std::vector<linalg::Matrix> qs;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      qs.push_back(reference_q(seed, x, 0.0, zero, systems[lane]));
+      linalg::Matrix full = qs.back();
+      for (std::size_t a = 1; a < n; ++a) {
+        for (std::size_t b = 0; b < a; ++b) full(a, b) = full(b, a);
+      }
+      if (plain_factor_fails(full)) expect_mask |= 1u << lane;
+    }
+    EXPECT_TRUE(expect_mask & 1u) << "n=" << n;
+    EXPECT_EQ(linalg::kernels::spd_factor_lanes(tile.data(), n), expect_mask)
+        << "n=" << n;
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a; b < n; ++b) {
+        EXPECT_EQ(bits(pristine[(a * n + b) * kLanes]), bits(qs[0](a, b)))
+            << "n=" << n << " (" << a << "," << b << ")";
+      }
+    }
+  }
+}
+
+TEST(LaneTileBuild, ThetaProductsMatchThePerRowMatrixOps) {
+  // The L-update's per-lane Theta products against the Matrix ops they
+  // replace: G^T Theta^T (multiply_into), its gram and Theta's own
+  // (gram_into, upper triangle) and Theta * neighbour_sum (axpy_sequence
+  // into a zeroed row) — with exact zeros in G, Theta and the sums.
+  rng::Rng rng(315);
+  for (const std::size_t rr : {3ul, 8ul, 9ul, 17ul}) {
+    for (const std::size_t slots : {5ul, 12ul, 15ul}) {
+      linalg::Matrix g = test::random_matrix(slots, slots, rng);
+      for (std::size_t u = 0; u < slots; u += 2) g(u, (u + 3) % slots) = 0.0;
+      std::vector<linalg::Matrix> theta;
+      std::vector<std::vector<double>> nsum(kLanes);
+      std::vector<double> theta_tile(slots * rr * kLanes);
+      std::vector<double> nsum_tile(slots * kLanes);
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        theta.push_back(test::random_matrix(slots, rr, rng));
+        theta.back()(lane % slots, lane % rr) = 0.0;
+        nsum[lane] = test::random_matrix(slots, 1, rng).col(0);
+        nsum[lane][(lane + 1) % slots] = 0.0;
+        for (std::size_t u = 0; u < slots; ++u) {
+          nsum_tile[u * kLanes + lane] = nsum[lane][u];
+          for (std::size_t k = 0; k < rr; ++k) {
+            theta_tile[(u * rr + k) * kLanes + lane] = theta.back()(u, k);
+          }
+        }
+      }
+      std::vector<double> tg(slots * rr * kLanes), gbuf(rr * rr * kLanes),
+          ttt(rr * rr * kLanes), contrib(rr * kLanes);
+      linalg::kernels::lanes_matmul_shared(g.data().data(), slots, slots,
+                                           theta_tile.data(), rr, tg.data());
+      linalg::kernels::lanes_gram_upper(tg.data(), slots, rr, gbuf.data());
+      linalg::kernels::lanes_gram_upper(theta_tile.data(), slots, rr,
+                                        ttt.data());
+      linalg::kernels::lanes_gemv(nsum_tile.data(), theta_tile.data(), slots,
+                                  rr, contrib.data());
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        SCOPED_TRACE("rr=" + std::to_string(rr) + " slots=" +
+                     std::to_string(slots) + " lane=" + std::to_string(lane));
+        linalg::Matrix tg_ref, gbuf_ref, ttt_ref;
+        linalg::multiply_into(g, theta[lane], tg_ref);
+        linalg::gram_into(tg_ref, gbuf_ref);
+        linalg::gram_into(theta[lane], ttt_ref);
+        std::vector<double> alpha = nsum[lane];
+        std::vector<const double*> xs;
+        for (std::size_t u = 0; u < slots; ++u) {
+          xs.push_back(theta[lane].row_span(u).data());
+        }
+        std::vector<double> contrib_ref(rr, 0.0);
+        linalg::kernels::axpy_sequence(alpha.data(), xs.data(), slots,
+                                       contrib_ref.data(), rr);
+        for (std::size_t u = 0; u < slots; ++u) {
+          for (std::size_t k = 0; k < rr; ++k) {
+            EXPECT_EQ(bits(tg[(u * rr + k) * kLanes + lane]),
+                      bits(tg_ref(u, k)));
+          }
+        }
+        for (std::size_t p = 0; p < rr; ++p) {
+          EXPECT_EQ(bits(contrib[p * kLanes + lane]), bits(contrib_ref[p]));
+          for (std::size_t q = p; q < rr; ++q) {
+            EXPECT_EQ(bits(gbuf[(p * rr + q) * kLanes + lane]),
+                      bits(gbuf_ref(p, q)));
+            EXPECT_EQ(bits(ttt[(p * rr + q) * kLanes + lane]),
+                      bits(ttt_ref(p, q)));
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Mask-grouped sweep identities.
 // ---------------------------------------------------------------------------
 
@@ -354,12 +621,11 @@ TEST(MaskGroupedSweep, PaperLiteralModeGroupedMatchesUngrouped) {
 }
 
 TEST(MaskGroupedSweep, FusedRhsSharedWalkExtremes) {
-  // The fused RHS builder walks the group's shared observed-index list
-  // once for all members.  Exercise its extremes against the ungrouped
-  // per-column walk: a fully-observed mask (one group spanning every
-  // column, empty unobserved list) and a near-empty mask (tiny shared
-  // observed list), both with Constraint 1 driving the dense fused walk
-  // and with it disabled.
+  // Two mask extremes against the ungrouped sweep: a fully-observed mask
+  // (one group spanning every column, an empty unobserved union, no zero
+  // coefficient in the right-hand-side panels) and a near-empty mask (one
+  // group with a long unobserved union, panels mostly exact zeros), both
+  // with and without the Constraint-1 half of the panels.
   rng::Rng rng(309);
   const core::BandLayout layout{8, 12};
   const std::size_t m = layout.links;
