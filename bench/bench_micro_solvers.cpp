@@ -20,7 +20,6 @@
 #include "eval/experiment.hpp"
 #include "ingest/buffer.hpp"
 #include "ingest/drift.hpp"
-#include "linalg/kernels/gemm.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/svd.hpp"
 #include "loc/omp.hpp"
@@ -184,24 +183,6 @@ void BM_KernelDot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelDot)->Arg(16)->Arg(4096);
-
-// The packed register-blocked GEMM micro-kernel on a warehouse-scale
-// product (4096x16 factors) and a square blocked shape.
-void BM_KernelGemm(benchmark::State& state) {
-  rng::Rng rng(22);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t m = n;
-  const std::size_t k = 16;
-  std::vector<double> a(m * k), b(k * n), c(m * n, 0.0);
-  for (double& v : a) v = rng.normal();
-  for (double& v : b) v = rng.normal();
-  for (auto _ : state) {
-    linalg::kernels::gemm_accumulate(a.data(), k, b.data(), n, c.data(), n,
-                                     m, k, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_KernelGemm)->Arg(96)->Arg(512);
 
 // Warm vs cold correlation refresh: the engine scenario, where the
 // previous snapshot's ADMM state seeds the re-acquisition on a drifted

@@ -18,8 +18,16 @@
 // per grid cell.  A combined hash per site and the process-wide SpdStats
 // totals close the output.
 //
+// A kernel section comes first: it hashes the active level's
+// micro-kernels directly over the shapes the testbeds never reach —
+// every length 0..67 at three offsets, dot_panel with 1..19 columns,
+// axpy_sequence / axpy_panel with 0..9 terms over 1..9 rows, the lane
+// factor + solve for n = 1..20 with one indefinite system, and
+// multiply_into / gram_into up to 65 x 63 x 67.
+//
 // The hashes are deterministic per build but differ between SIMD dispatch
 // levels (IUP_ARCH), so compare two builds at the same level only.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -30,6 +38,8 @@
 #include "core/rsvd.hpp"
 #include "eval/experiment.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/kernels/kernels.hpp"
+#include "linalg/matrix.hpp"
 #include "sim/sampler.hpp"
 #include "sim/testbeds.hpp"
 
@@ -109,6 +119,186 @@ bool probe_stamp(api::Engine& engine, Site& site, std::size_t day) {
   return true;
 }
 
+/// Deterministic kernel inputs: splitmix64 mapped to [-1, 1), with every
+/// 7th value an exact zero and every 11th a negative zero.  Self-contained
+/// rather than rng::Rng, so the inputs cannot move with the revision under
+/// test.
+class Inputs {
+ public:
+  double next() {
+    ++count_;
+    if (count_ % 7 == 0) return 0.0;
+    if (count_ % 11 == 0) return -0.0;
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    return static_cast<double>(z >> 11) * 0x1.0p-52 - 1.0;
+  }
+  std::vector<double> vec(std::size_t n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = next();
+    return v;
+  }
+  linalg::Matrix matrix(std::size_t rows, std::size_t cols) {
+    linalg::Matrix m(rows, cols);
+    for (double& x : m.data()) x = next();
+    return m;
+  }
+
+ private:
+  std::uint64_t state_ = 0x1f2e3d4c5b6a7988ull;
+  std::uint64_t count_ = 0;
+};
+
+void add_all(Fnv1a& h, const std::vector<double>& v) {
+  for (const double x : v) h.add(x);
+}
+
+void print_hash(const char* what, const Fnv1a& h) {
+  std::printf("kernels %-14s %016llx\n", what,
+              static_cast<unsigned long long>(h.value()));
+}
+
+/// Reductions and element-wise kernels over n = 0..67 at offsets 0, 1, 3,
+/// and dot_panel over n = 0..37 with 1..19 columns.
+void probe_vector_kernels(Inputs& in) {
+  namespace k = linalg::kernels;
+  Fnv1a red, elem;
+  for (std::size_t n = 0; n <= 67; ++n) {
+    for (const std::size_t off : {0u, 1u, 3u}) {
+      const auto a = in.vec(n + off);
+      const auto b = in.vec(n + off);
+      const auto m = in.vec(n + off);
+      red.add(k::dot(a.data() + off, b.data() + off, n));
+      red.add(k::norm_sq(a.data() + off, n));
+      red.add(k::diff_norm_sq(a.data() + off, b.data() + off, n));
+      red.add(k::masked_diff_norm_sq(m.data() + off, a.data() + off,
+                                     b.data() + off, n));
+      auto y = in.vec(n + off);
+      k::axpy(in.next(), a.data() + off, y.data() + off, n);
+      add_all(elem, y);
+      const double alpha = in.next();
+      const double beta = in.next();
+      k::axpy2(alpha, a.data() + off, beta, b.data() + off, y.data() + off,
+               n);
+      add_all(elem, y);
+    }
+  }
+  print_hash("reductions", red);
+  print_hash("axpy+axpy2", elem);
+
+  Fnv1a panel;
+  for (std::size_t n = 0; n <= 37; ++n) {
+    for (std::size_t cols = 1; cols <= 19; ++cols) {
+      const std::size_t ld = cols + cols % 3;
+      const auto a = in.vec(n);
+      const auto b = in.vec(n * ld);
+      std::vector<double> out(cols);
+      k::dot_panel(a.data(), b.data(), ld, n, cols, out.data());
+      add_all(panel, out);
+    }
+  }
+  print_hash("dot_panel", panel);
+}
+
+/// axpy_sequence and axpy_panel: row widths 1..24, 0..9 terms, 1..9 rows,
+/// the first coefficient of every row an exact zero.
+void probe_axpy_chains(Inputs& in) {
+  namespace k = linalg::kernels;
+  Fnv1a seq, pan;
+  for (std::size_t n = 1; n <= 24; ++n) {
+    for (std::size_t count = 0; count <= 9; ++count) {
+      std::vector<std::vector<double>> xs(count);
+      std::vector<const double*> x(count);
+      for (std::size_t t = 0; t < count; ++t) {
+        xs[t] = in.vec(n);
+        x[t] = xs[t].data();
+      }
+      for (std::size_t rows = 1; rows <= 9; ++rows) {
+        const std::size_t ldc = count + 1;
+        const std::size_t ldy = n + 2;
+        auto coef = in.vec(rows * ldc);
+        for (std::size_t c = 0; c < rows; ++c) coef[c * ldc] = 0.0;
+        auto y = in.vec(rows * ldy);
+        auto z = y;
+        k::axpy_panel(coef.data(), ldc, rows, x.data(), count, y.data(), ldy,
+                      n);
+        add_all(pan, y);
+        for (std::size_t c = 0; c < rows; ++c) {
+          k::axpy_sequence(coef.data() + c * ldc, x.data(), count,
+                           z.data() + c * ldy, n);
+        }
+        add_all(seq, z);
+      }
+    }
+  }
+  print_hash("axpy_sequence", seq);
+  print_hash("axpy_panel", pan);
+}
+
+/// The lane factor + solve for n = 1..20: max(kSpdLanes, 2) systems
+/// G^T G + I in tiles of kSpdLanes, system 1 made indefinite.  Hashes
+/// every failure mask and the factor and solution of every good lane.
+void probe_spd_lanes(Inputs& in) {
+  namespace k = linalg::kernels;
+  constexpr std::size_t w = k::kSpdLanes;
+  const std::size_t systems = std::max<std::size_t>(w, 2);
+  Fnv1a h;
+  for (std::size_t n = 1; n <= 20; ++n) {
+    for (std::size_t first = 0; first < systems; first += w) {
+      std::vector<double> tile(n * n * w, 0.0);
+      std::vector<double> rhs = in.vec(n * w);
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        const linalg::Matrix g = in.matrix(n + 2, n);
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = a; b < n; ++b) {
+            double q = a == b ? 1.0 : 0.0;
+            for (std::size_t r = 0; r < g.rows(); ++r) q += g(r, a) * g(r, b);
+            tile[(a * n + b) * w + lane] = q;
+          }
+        }
+        if (first + lane == 1) tile[((n - 1) * n + n - 1) * w + lane] = -1.0;
+      }
+      const unsigned failed = k::spd_factor_lanes(tile.data(), n);
+      k::spd_solve_lanes(tile.data(), rhs.data(), n);
+      h.add(static_cast<std::uint64_t>(failed));
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        if ((failed >> lane) & 1u) continue;
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = a; b < n; ++b) {
+            h.add(tile[(a * n + b) * w + lane]);
+          }
+          h.add(rhs[a * w + lane]);
+        }
+      }
+    }
+  }
+  print_hash("spd_lanes", h);
+}
+
+/// multiply_into (m x inner x n) and gram_into of both factors, with
+/// zero pivots, from 1 x 1 x 1 up to 65 x 63 x 67.
+void probe_products(Inputs& in) {
+  const std::size_t shapes[][3] = {{1, 1, 1},    {3, 5, 7},     {8, 15, 16},
+                                   {8, 16, 16},  {9, 17, 33},   {16, 16, 300},
+                                   {64, 64, 64}, {65, 63, 67}};
+  Fnv1a mul, gram;
+  for (const auto& s : shapes) {
+    const linalg::Matrix a = in.matrix(s[0], s[1]);
+    const linalg::Matrix b = in.matrix(s[1], s[2]);
+    linalg::Matrix out;
+    linalg::multiply_into(a, b, out);
+    mul.add(out);
+    linalg::gram_into(a, out);
+    gram.add(out);
+    linalg::gram_into(b, out);
+    gram.add(out);
+  }
+  print_hash("multiply_into", mul);
+  print_hash("gram_into", gram);
+}
+
 }  // namespace
 
 /// One Engine and the sites it serves.
@@ -118,6 +308,14 @@ struct Probe {
 };
 
 int main() {
+  {
+    Inputs in;
+    probe_vector_kernels(in);
+    probe_axpy_chains(in);
+    probe_spd_lanes(in);
+    probe_products(in);
+  }
+
   const eval::EnvironmentRun office(sim::make_office_testbed());
   const eval::EnvironmentRun mixed(sim::make_mixed_radio_testbed());
   const eval::EnvironmentRun library(sim::make_library_testbed());

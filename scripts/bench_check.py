@@ -54,9 +54,7 @@ LATENCY_COUNTERS = ("p50_us", "p99_us")
 # Per-row noise-floor overrides (regex -> ns).  The dot micro-kernel rows
 # run in nanoseconds: on a shared CI box their wall clock is dominated by
 # frequency/turbo state, so they get a floor generous enough that they
-# only ever warn.  The GEMM rows run hundreds of microseconds and are
-# real measurements — they stay on the normal gate.  Matched before
-# --noise-floor-ns; first hit wins.
+# only ever warn.  Matched before --noise-floor-ns; first hit wins.
 ROW_NOISE_FLOORS = [
     (r"^BM_KernelDot", 50000.0),
     # One 16x16 factor + panel solve runs in ~1-3 us: pure turbo lottery

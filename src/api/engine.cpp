@@ -63,12 +63,10 @@ Engine::Engine(EngineConfig config)
       hooks_(config_.update_hooks()),
       warm_start_enabled_(config_.rsvd().init ==
                           core::FactorInit::kWarmStart),
-      lrr_warm_enabled_(config_.lrr_warm_start()),
       store_(config_.history_limit()) {}
 
 std::shared_ptr<const core::LrrWarmStart> Engine::lrr_warm_for(
     const std::string& site, std::uint64_t version) const {
-  if (!lrr_warm_enabled_) return nullptr;
   const auto shard = shards_->find(site);
   if (shard == nullptr) return nullptr;
   const auto lock = shard->lock_for_update();
@@ -264,7 +262,7 @@ Result<SnapshotPtr> Engine::register_site(std::string site,
     z = std::move(lrr.z);
     // Seed the refresh warm-start cache from the registration solve, so
     // even the site's first update refreshes warm.
-    if (lrr_warm_enabled_) lrr_state = lrr_state_of(z, std::move(lrr));
+    lrr_state = lrr_state_of(z, std::move(lrr));
   } catch (const std::exception& e) {
     return Status::internal(std::string("register_site: ") + e.what());
   }
@@ -391,8 +389,8 @@ Status Engine::set_reference_cells(const std::string& site,
   }
   core::LrrResult lrr = std::move(refreshed).value();
   linalg::Matrix z = std::move(lrr.z);
-  std::shared_ptr<const core::LrrWarmStart> lrr_state;
-  if (lrr_warm_enabled_) lrr_state = lrr_state_of(z, std::move(lrr));
+  std::shared_ptr<const core::LrrWarmStart> lrr_state =
+      lrr_state_of(z, std::move(lrr));
 
   return commit("set_reference_cells", snap,
                 std::make_shared<FingerprintSnapshot>(
@@ -601,7 +599,7 @@ Result<UpdateResult> Engine::update_impl(const UpdateRequest& request) {
     }
     core::LrrResult lrr = std::move(refreshed).value();
     z = std::move(lrr.z);
-    if (lrr_warm_enabled_) lrr_state = lrr_state_of(z, std::move(lrr));
+    lrr_state = lrr_state_of(z, std::move(lrr));
   }
 
   // Copy the converged factor for the cache before taking the lock (only

@@ -339,9 +339,6 @@ class Engine {
   /// problem.l0; otherwise the factor cache is bypassed entirely (no
   /// copies, no retention).
   bool warm_start_enabled_ = false;
-  /// config_.lrr_warm_start(): cache + resume the ADMM state of the
-  /// correlation refreshes.
-  bool lrr_warm_enabled_ = false;
   /// The COMMIT lock: guards store_ and serialises publication order
   /// (bundles are published while it is held, so a site's published
   /// version can never move backwards).  Solver, correlation and

@@ -92,23 +92,16 @@ class EngineConfig {
     return *this;
   }
   /// Re-derive Z from each committed reconstruction (the paper's "original
-  /// or latest updated" phrasing).
+  /// or latest updated" phrasing).  Each refresh warm-starts from the
+  /// previous snapshot's ADMM state (Z + multipliers + penalty, versioned
+  /// per-site cache like the solver factor above) instead of solving the
+  /// LRR cold — roughly a 3-4x cut in refresh iterations on
+  /// slowly-drifting databases.  A version jump the cache was not derived
+  /// from (e.g. set_reference_cells) resets to a cold solve, so stale
+  /// state can never leak across reference sets; results remain
+  /// bit-identical across engines replaying the same request sequence.
   EngineConfig& refresh_correlation(bool value) {
     refresh_correlation_ = value;
-    return *this;
-  }
-  /// Warm-start each post-commit correlation refresh from the previous
-  /// snapshot's ADMM state (Z + multipliers + penalty, versioned per-site
-  /// cache like the solver factor above) instead of solving the LRR cold
-  /// — roughly a 3-4x cut in refresh iterations on slowly-drifting
-  /// databases.  A version jump the cache was not derived from (e.g.
-  /// set_reference_cells) resets to a cold solve, so stale state can
-  /// never leak across reference sets.  Changes refreshed Z values at
-  /// iterate level (same fixed point within the ADMM tolerance); results
-  /// remain bit-identical across engines replaying the same request
-  /// sequence.  Set false for cold-refresh numbers.
-  EngineConfig& lrr_warm_start(bool value) {
-    lrr_warm_start_ = value;
     return *this;
   }
   /// Snapshot versions retained per site (0 = unlimited).
@@ -135,7 +128,6 @@ class EngineConfig {
   const core::RsvdOptions& rsvd() const { return rsvd_; }
   const core::LrrOptions& lrr() const { return lrr_; }
   bool refresh_correlation() const { return refresh_correlation_; }
-  bool lrr_warm_start() const { return lrr_warm_start_; }
   std::size_t history_limit() const { return history_limit_; }
   const UpdateHooks& update_hooks() const { return update_hooks_; }
   std::size_t threads() const { return threads_; }
@@ -144,7 +136,6 @@ class EngineConfig {
   core::RsvdOptions rsvd_;
   core::LrrOptions lrr_;
   bool refresh_correlation_ = true;
-  bool lrr_warm_start_ = true;
   std::size_t history_limit_ = 0;
   std::size_t threads_ = 1;
   UpdateHooks update_hooks_;

@@ -129,7 +129,7 @@ LrrResult solve_lrr(const linalg::Matrix& a, const linalg::Matrix& x,
     mu = std::clamp(warm->mu / (options.rho * options.rho), options.mu,
                     options.mu_max);
   }
-  const bool adaptive = options.adaptive_rho || (warm_z && warm->mu > 0.0);
+  const bool adaptive = warm_z && warm->mu > 0.0;
   double prev_r_max = -1.0;
   LrrResult out;
 

@@ -30,16 +30,6 @@ struct LrrOptions {
   double rho = 1.6;         ///< penalty growth factor
   double tol = 1e-7;        ///< relative stopping tolerance
   std::size_t max_iters = 500;
-  /// Adaptive mu scheduling: while the combined residual stagnates
-  /// (> 90% of the previous iteration's) the penalty grows by rho^2
-  /// instead of rho, skipping most of the small-mu warm-up phase; once
-  /// residuals fall geometrically the schedule drops back to rho.  The
-  /// sequence stays monotone non-decreasing (capped at mu_max), so the
-  /// inexact-ALM convergence argument is unaffected.  Deterministic, but
-  /// iterates differ from the fixed schedule, so the default stays off; warm
-  /// restarts (solve_lrr with a LrrWarmStart) always use it, cold solves
-  /// only when this flag is set.
-  bool adaptive_rho = false;
 };
 
 struct LrrResult {
@@ -71,8 +61,13 @@ struct LrrWarmStart {
 };
 
 /// Solve Eq. 12 with dictionary `a` (= X_MIC, M x n) and data `x` (M x N).
-/// `warm` (optional) resumes from a previous solve's state; warm runs
-/// always use the adaptive mu schedule (see LrrOptions::adaptive_rho).
+/// `warm` (optional) resumes from a previous solve's state.  A warm
+/// restart with a penalty to resume (warm->mu > 0) runs an adaptive mu
+/// schedule: while the combined residual stagnates (> 90% of the previous
+/// iteration's) the penalty grows by rho^2 instead of rho; once residuals
+/// fall geometrically it drops back to rho.  The sequence stays monotone
+/// non-decreasing (capped at mu_max), so the inexact-ALM convergence
+/// argument is unaffected.  Cold solves keep the fixed rho schedule.
 LrrResult solve_lrr(const linalg::Matrix& a, const linalg::Matrix& x,
                     const LrrOptions& options = {},
                     const LrrWarmStart* warm = nullptr);

@@ -14,11 +14,13 @@
 //   kernels::tile_* / lanes_*            — lane-tile builds, written once
 //                                          over the level's Lanes ops
 //                                          (kernels/lane_tile.hpp)
-//   kernels::gemm_accumulate             — register-blocked packed GEMM
-//                                          (kernels/gemm.hpp)
 //   kernels::scalar::*                   — always available (reference)
 //   kernels::avx2::*                     — only at the AVX2+ levels
 //   kernels::avx512::*                   — only at the AVX-512 level
+//
+// The two vector levels share one body per kernel (kernels/simd.hpp),
+// written over the level's Lanes ops; avx2.hpp and avx512.hpp hold only
+// those ops and one-line forwarders.
 //
 // Determinism contract (the load-bearing guarantee):
 //
@@ -32,7 +34,9 @@
 //    and reduce dot/norm accumulations through vector-lane accumulators
 //    (4-lane pairs at AVX2, 8-lane pairs at AVX-512) instead of one
 //    scalar accumulator.  The scalar level reproduces the historical
-//    (pre-kernel-layer) loops exactly.
+//    (pre-kernel-layer) loops exactly in a build without FMA; on an FMA
+//    target it spells each reduction step as an fma (scalar.hpp), so the
+//    promises below hold for it in every build.
 //  * dot_panel (the trsv_multi / multi-RHS back-substitution kernel) is
 //    held to a STRONGER promise: at every level, out[c] is bit-identical
 //    to kernels::dot(a, column c of the panel) at that same level — the

@@ -8,6 +8,16 @@
 // within documented rounding differences (FMA contraction on the
 // element-wise kernels, vector-lane accumulators on the reductions); the
 // dispatch header (kernels/kernels.hpp) states the exact contract.
+//
+// A target with a fused multiply-add (__FP_FAST_FMA: -mfma, so every
+// x86-64-v3 or AVX-512 build) lets the compiler contract `acc + a * b`,
+// and GCC's default -ffp-contract=fast does so path by path: a reduction
+// it vectorises in order keeps each product rounded, while its scalar
+// remainder and dot_panel's loop across columns are fused.  There every
+// reduction step is therefore spelled as the fma itself (detail::madd),
+// so a reduction's bits do not depend on how it was compiled and
+// dot_panel still equals dot.  Without an FMA nothing can contract, and
+// the plain loops give the historical bits.
 #pragma once
 
 #include <cmath>
@@ -15,10 +25,23 @@
 
 namespace iup::linalg::kernels::scalar {
 
+namespace detail {
+
+/// acc + a * b: one reduction step, fused wherever the target has an FMA.
+inline double madd(double acc, double a, double b) {
+#if defined(__FP_FAST_FMA)
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+}  // namespace detail
+
 /// sum_i a[i] * b[i], accumulated left to right in one scalar accumulator.
 inline double dot(const double* a, const double* b, std::size_t n) {
   double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
+  for (std::size_t i = 0; i < n; ++i) acc = detail::madd(acc, a[i], b[i]);
   return acc;
 }
 
@@ -37,7 +60,7 @@ inline void axpy2(double a, const double* x, double b, const double* y,
 /// sum_i x[i]^2.
 inline double norm_sq(const double* x, std::size_t n) {
   double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * x[i];
+  for (std::size_t i = 0; i < n; ++i) acc = detail::madd(acc, x[i], x[i]);
   return acc;
 }
 
@@ -46,7 +69,7 @@ inline double diff_norm_sq(const double* x, const double* y, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double d = x[i] - y[i];
-    acc += d * d;
+    acc = detail::madd(acc, d, d);
   }
   return acc;
 }
@@ -58,7 +81,7 @@ inline double masked_diff_norm_sq(const double* mask, const double* x,
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double d = mask[i] * x[i] - y[i];
-    acc += d * d;
+    acc = detail::madd(acc, d, d);
   }
   return acc;
 }
@@ -74,7 +97,9 @@ inline void dot_panel(const double* a, const double* b, std::size_t ldb,
   for (std::size_t p = 0; p < n; ++p) {
     const double ap = a[p];
     const double* row = b + p * ldb;
-    for (std::size_t c = 0; c < k; ++c) out[c] += ap * row[c];
+    for (std::size_t c = 0; c < k; ++c) {
+      out[c] = detail::madd(out[c], ap, row[c]);
+    }
   }
 }
 

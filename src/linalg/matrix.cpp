@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "linalg/kernels/gemm.hpp"
 #include "linalg/kernels/kernels.hpp"
 
 namespace iup::linalg {
@@ -304,20 +303,11 @@ void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t inner = a.cols();
   const std::size_t n = b.cols();
   out.resize(m, n, 0.0);
-  // Shapes with enough work to amortise panel packing route through the
-  // register-blocked GEMM micro-kernel.  Per output element both paths
-  // accumulate over k in ascending order with the active dispatch level's
-  // element arithmetic, so the routing threshold cannot change results on
-  // finite data (the pivot zero-skip below is an exact no-op, see
-  // kernels.hpp).
-  if (kernels::gemm_is_vectorized() && m >= 8 && inner >= 16 && n >= 16) {
-    kernels::gemm_accumulate(a.data().data(), inner, b.data().data(), n,
-                             out.data().data(), n, m, inner, n);
-    return;
-  }
   // Blocked i-k-j: for every out element the k contributions still arrive
   // in ascending order (k tiles ascending, k ascending within a tile), so
-  // the result matches the naive triple loop at the active dispatch level.
+  // the result matches the naive triple loop at the active dispatch level
+  // (the pivot zero-skip is an exact no-op on finite data, see
+  // kernels.hpp).
   for (std::size_t i0 = 0; i0 < m; i0 += kTile) {
     const std::size_t i1 = std::min(i0 + kTile, m);
     for (std::size_t k0 = 0; k0 < inner; k0 += kTile) {

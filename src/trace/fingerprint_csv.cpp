@@ -155,6 +155,19 @@ api::Result<FingerprintTable> import_fingerprint_csv(std::istream& in,
                                          "no fingerprint rows");
   }
 
+  // A complete table has exactly (max_link + 1) * (max_cell + 1) rows.
+  // Ids that many rows cannot fill fail here, before anything is sized from
+  // them (overflow-safe: max_link + 1 <= rows.size() in the division);
+  // more rows than that must repeat a pair, which the loop below rejects.
+  if (max_link >= rows.size() ||
+      max_cell >= rows.size() / (max_link + 1)) {
+    return api::Status::invalid_argument(
+        "fingerprint table is not rectangular: " +
+        std::to_string(rows.size()) + " rows for links 0.." +
+        std::to_string(max_link) + " and cells 0.." +
+        std::to_string(max_cell) +
+        " (every (link, cell) pair must appear exactly once)");
+  }
   const std::size_t m = max_link + 1;
   const std::size_t n = max_cell + 1;
   FingerprintTable table;
@@ -192,13 +205,6 @@ api::Result<FingerprintTable> import_fingerprint_csv(std::istream& in,
     table.cell_centers[row.cell] = row.center;
     table.database(row.link, row.cell) = row.rss;
     table.mask(row.link, row.cell) = row.mask;
-  }
-  if (rows.size() != m * n) {
-    return api::Status::invalid_argument(
-        "fingerprint table is not rectangular: " +
-        std::to_string(rows.size()) + " rows for a " + std::to_string(m) +
-        "x" + std::to_string(n) + " grid (every (link, cell) pair must "
-        "appear exactly once)");
   }
   return table;
 }

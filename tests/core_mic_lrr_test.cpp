@@ -168,17 +168,5 @@ TEST(LrrWarmStart, ShapeMismatchResetsToCold) {
   EXPECT_EQ(reset.mu_final, cold.mu_final);
 }
 
-TEST(LrrAdaptiveRho, ColdSolveReachesTheSameFixedPointFaster) {
-  const auto& x = iup::test::office_run().ground_truth.at_day(0);
-  const auto mic = extract_mic(x);
-  LrrOptions opt;
-  const auto fixed = solve_lrr(mic.x_mic, x, opt);
-  opt.adaptive_rho = true;
-  const auto adaptive = solve_lrr(mic.x_mic, x, opt);
-  ASSERT_TRUE(adaptive.converged);
-  EXPECT_LT(adaptive.iterations, fixed.iterations);
-  EXPECT_LT(linalg::relative_error(adaptive.z, fixed.z), 1e-5);
-}
-
 }  // namespace
 }  // namespace iup::core

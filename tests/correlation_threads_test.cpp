@@ -8,7 +8,6 @@
 #include "api/engine.hpp"
 #include "core/self_augmented.hpp"
 #include "eval/experiment.hpp"
-#include "linalg/norms.hpp"
 #include "test_util.hpp"
 
 namespace iup {
@@ -144,36 +143,6 @@ TEST(EngineLrrWarmCache, SeededAtRegistrationAndTrackedAcrossCommits) {
 
   ASSERT_TRUE(engine.drop_site("office").ok());
   EXPECT_FALSE(engine.lrr_warm_version("office").has_value());
-}
-
-TEST(EngineLrrWarmCache, DisabledEngineMatchesColdRefreshesExactly) {
-  // lrr_warm_start(false) must reproduce the cold-refresh chain bit for
-  // bit, and never retain ADMM state.
-  const auto& run = test::office_run();
-  api::Engine warm_engine{api::EngineConfig{}};
-  api::Engine cold_engine(api::EngineConfig().lrr_warm_start(false));
-  ASSERT_TRUE(eval::register_run(warm_engine, run, "office").ok());
-  ASSERT_TRUE(eval::register_run(cold_engine, run, "office").ok());
-  EXPECT_FALSE(cold_engine.lrr_warm_version("office").has_value());
-  // Registration is a cold solve either way: identical snapshots.
-  EXPECT_EQ(warm_engine.snapshot("office").value()->correlation(),
-            cold_engine.snapshot("office").value()->correlation());
-
-  const auto cells = warm_engine.reference_cells("office").value();
-  const auto request =
-      eval::collect_update_request(run, "office", cells, 45);
-  const auto warm_result = warm_engine.update(request);
-  const auto cold_result = cold_engine.update(request);
-  ASSERT_TRUE(warm_result.ok());
-  ASSERT_TRUE(cold_result.ok());
-  // Same reconstruction (the solve itself never sees the LRR cache)...
-  EXPECT_EQ(warm_result.value().x_hat(), cold_result.value().x_hat());
-  // ...and refreshed correlations that agree to the ADMM fixed point,
-  // warm vs cold.
-  const auto& zw = warm_result.value().snapshot->correlation();
-  const auto& zc = cold_result.value().snapshot->correlation();
-  EXPECT_LT(linalg::relative_error(zw, zc), 1e-5);
-  EXPECT_FALSE(cold_engine.lrr_warm_version("office").has_value());
 }
 
 }  // namespace

@@ -25,8 +25,8 @@ namespace iup::linalg {
 namespace {
 
 // Reference product: the naive i-k-j triple loop (ascending-k row
-// accumulation, zero-pivot skip) the tiled and packed-GEMM paths must
-// reproduce bit for bit at the active dispatch level.
+// accumulation, zero-pivot skip) the tiled multiply_into must reproduce
+// bit for bit at the active dispatch level.
 Matrix naive_multiply(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {

@@ -1,22 +1,28 @@
 // The SIMD micro-kernel layer (src/linalg/kernels/): scalar-vs-active
 // level agreement over odd lengths, unaligned offsets and tail
-// remainders, the packed-GEMM accumulation contract, and the exactness
-// identities the dispatch header documents.
+// remainders, and the exactness identities the dispatch header documents.
 //
 // In a scalar-level build (no IUP_ARCH) the active kernels ARE the scalar
 // kernels and the comparisons are trivially exact; the AVX2 CI cell
 // (-march=x86-64-v3) is where the cross-level tolerances do real work:
 // element-wise kernels may differ from scalar by one FMA rounding per
 // element, reductions by the two-lane accumulator reorder.
+//
+// The intra-level bit-identity contracts (dot_panel vs dot, axpy_sequence
+// vs axpy, axpy_panel vs axpy_sequence, the lane factor + solve vs the
+// per-system loop) are typed tests over every level the build compiles:
+// the scalar level always, and an AVX-512 build checks the AVX2
+// instantiation of the shared kernel bodies too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "linalg/kernels/gemm.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "rng/rng.hpp"
@@ -43,14 +49,10 @@ std::vector<double> random_vec(std::size_t n, rng::Rng& rng) {
 TEST(KernelDispatch, LevelNameIsConsistent) {
   if (active_level() == Level::kAvx512) {
     EXPECT_STREQ(active_level_name(), "avx512");
-    // The packed GEMM runs its AVX2 block kernel at every SIMD level.
-    EXPECT_TRUE(gemm_is_vectorized());
   } else if (active_level() == Level::kAvx2) {
     EXPECT_STREQ(active_level_name(), "avx2");
-    EXPECT_TRUE(gemm_is_vectorized());
   } else {
     EXPECT_STREQ(active_level_name(), "scalar");
-    EXPECT_FALSE(gemm_is_vectorized());
   }
 }
 
@@ -169,96 +171,6 @@ TEST(KernelNorms, ReductionsMatchScalarAndShareTreeShape) {
   }
 }
 
-TEST(KernelGemm, AccumulatesAscendingKAtTheActiveLevel) {
-  // Contract: every output element is a single accumulator fed ascending
-  // k with the active level's element arithmetic — FMA at kAvx2, mul+add
-  // at kScalar.  Exact comparison against that reference, odd shapes
-  // covering full tiles, row/column remainders and k tails.
-  rng::Rng rng(108);
-  const std::size_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},   {4, 16, 8},
-                                   {5, 17, 9},  {8, 32, 24}, {13, 19, 23},
-                                   {16, 16, 96}, {33, 7, 65}};
-  for (const auto& s : shapes) {
-    const std::size_t m = s[0], k = s[1], n = s[2];
-    const auto a = random_vec(m * k, rng);
-    const auto b = random_vec(k * n, rng);
-    auto got = random_vec(m * n, rng);
-    auto ref = got;
-    gemm_accumulate(a.data(), k, b.data(), n, got.data(), n, m, k, n);
-    const bool fma = active_level() != Level::kScalar;
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        double acc = ref[i * n + j];
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          acc = fma ? std::fma(a[i * k + kk], b[kk * n + j], acc)
-                    : acc + a[i * k + kk] * b[kk * n + j];
-        }
-        ref[i * n + j] = acc;
-      }
-    }
-    EXPECT_EQ(got, ref) << m << "x" << k << "x" << n;
-  }
-}
-
-TEST(KernelGemm, RespectsLeadingDimensions) {
-  // Operate on an interior block of larger row-major buffers.
-  rng::Rng rng(109);
-  const std::size_t m = 6, k = 10, n = 9;
-  const std::size_t lda = k + 3, ldb = n + 2, ldc = n + 5;
-  const auto a = random_vec(m * lda, rng);
-  const auto b = random_vec(k * ldb, rng);
-  auto got = random_vec(m * ldc, rng);
-  auto ref = got;
-  gemm_accumulate(a.data(), lda, b.data(), ldb, got.data(), ldc, m, k, n);
-  const bool fma = active_level() != Level::kScalar;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = ref[i * ldc + j];
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc = fma ? std::fma(a[i * lda + kk], b[kk * ldb + j], acc)
-                  : acc + a[i * lda + kk] * b[kk * ldb + j];
-      }
-      ref[i * ldc + j] = acc;
-    }
-  }
-  EXPECT_EQ(got, ref);
-  // Elements outside the written block are untouched.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = n; j < ldc; ++j) {
-      SCOPED_TRACE(i);
-      EXPECT_EQ(got[i * ldc + j], ref[i * ldc + j]);
-    }
-  }
-}
-
-TEST(KernelDotPanel, EveryColumnBitIdenticalToDot) {
-  // The trsv_multi contract: out[c] must reproduce the active level's
-  // dot() on a contiguous copy of panel column c, bit for bit — this is
-  // what lets the multi-RHS SPD back substitution keep every RHS equal to
-  // the historical single-column solve.  Cover sub-lane, lane-boundary
-  // and tail lengths in BOTH dimensions plus padded leading dimensions.
-  rng::Rng rng(111);
-  for (const std::size_t n : {0ul, 1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul,
-                              12ul, 15ul, 16ul, 17ul, 31ul, 37ul}) {
-    for (const std::size_t k : {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul,
-                                11ul, 16ul, 19ul}) {
-      for (const std::size_t pad : {0ul, 3ul}) {
-        const std::size_t ld = k + pad;
-        const auto a = random_vec(n, rng);
-        const auto panel = random_vec(n * ld + 1, rng);
-        std::vector<double> out(k, -1.0);
-        dot_panel(a.data(), panel.data(), ld, n, k, out.data());
-        for (std::size_t c = 0; c < k; ++c) {
-          std::vector<double> col(n);
-          for (std::size_t p = 0; p < n; ++p) col[p] = panel[p * ld + c];
-          EXPECT_EQ(out[c], dot(a.data(), col.data(), n))
-              << "n=" << n << " k=" << k << " ld=" << ld << " c=" << c;
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelDotPanel, ScalarLevelMatchesScalarDot) {
   // The always-available reference level obeys the same contract.
   rng::Rng rng(112);
@@ -295,12 +207,88 @@ std::vector<std::uint64_t> bits(const std::vector<double>& v) {
   return out;
 }
 
-TEST(KernelAxpySequence, BitIdenticalToRepeatedAxpy) {
+// ---------------------------------------------------------------------------
+// Intra-level contracts, checked at every level this build compiles.
+// ---------------------------------------------------------------------------
+
+// One level's kernels under a type, so each typed test below runs once per
+// checked level.
+#define IUP_KERNEL_LEVEL(NS)                                          \
+  struct NS##_level {                                                 \
+    static constexpr const char* kName = #NS;                         \
+    static constexpr std::size_t kLanes = NS::kSpdLanes;              \
+    static constexpr auto dot = &NS::dot;                             \
+    static constexpr auto axpy = &NS::axpy;                           \
+    static constexpr auto dot_panel = &NS::dot_panel;                 \
+    static constexpr auto axpy_sequence = &NS::axpy_sequence;         \
+    static constexpr auto axpy_panel = &NS::axpy_panel;               \
+    static constexpr auto spd_factor_lanes = &NS::spd_factor_lanes;   \
+    static constexpr auto spd_solve_lanes = &NS::spd_solve_lanes;     \
+  }
+IUP_KERNEL_LEVEL(scalar);
+#if defined(IUP_KERNELS_AVX512)
+IUP_KERNEL_LEVEL(avx2);
+IUP_KERNEL_LEVEL(avx512);
+using CheckedLevels = ::testing::Types<scalar_level, avx2_level, avx512_level>;
+#elif defined(IUP_KERNELS_AVX2)
+IUP_KERNEL_LEVEL(avx2);
+using CheckedLevels = ::testing::Types<scalar_level, avx2_level>;
+#else
+using CheckedLevels = ::testing::Types<scalar_level>;
+#endif
+#undef IUP_KERNEL_LEVEL
+
+struct LevelName {
+  template <class K>
+  static std::string GetName(int) {
+    return K::kName;
+  }
+};
+
+template <class K>
+class KernelDotPanel : public ::testing::Test {};
+TYPED_TEST_SUITE(KernelDotPanel, CheckedLevels, LevelName);
+
+TYPED_TEST(KernelDotPanel, EveryColumnBitIdenticalToDot) {
+  // The trsv_multi contract: out[c] must reproduce the level's dot() on a
+  // contiguous copy of panel column c, bit for bit — this is what lets
+  // the multi-RHS SPD back substitution keep every RHS equal to the
+  // historical single-column solve.  Cover sub-lane, lane-boundary and
+  // tail lengths in BOTH dimensions plus padded leading dimensions.
+  using K = TypeParam;
+  rng::Rng rng(111);
+  for (const std::size_t n : {0ul, 1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul,
+                              12ul, 15ul, 16ul, 17ul, 31ul, 37ul}) {
+    for (const std::size_t k : {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul,
+                                11ul, 16ul, 19ul}) {
+      for (const std::size_t pad : {0ul, 3ul}) {
+        const std::size_t ld = k + pad;
+        const auto a = random_vec(n, rng);
+        const auto panel = random_vec(n * ld + 1, rng);
+        std::vector<double> out(k, -1.0);
+        K::dot_panel(a.data(), panel.data(), ld, n, k, out.data());
+        for (std::size_t c = 0; c < k; ++c) {
+          std::vector<double> col(n);
+          for (std::size_t p = 0; p < n; ++p) col[p] = panel[p * ld + c];
+          EXPECT_EQ(out[c], K::dot(a.data(), col.data(), n))
+              << "n=" << n << " k=" << k << " ld=" << ld << " c=" << c;
+        }
+      }
+    }
+  }
+}
+
+template <class K>
+class KernelAxpySequence : public ::testing::Test {};
+TYPED_TEST_SUITE(KernelAxpySequence, CheckedLevels, LevelName);
+
+TYPED_TEST(KernelAxpySequence, BitIdenticalToRepeatedAxpy) {
   // The register-resident sequence must reproduce the level's axpy chain
-  // per element, across the 8/16-wide register boundaries and the >16
+  // per element, across the 4/8/16-wide register boundaries and the >16
   // fallback, with exact zero and negative-zero alphas and -0.0 entries in
   // the accumulator (0 * x added to -0.0 must leave +0.0 exactly as the
   // memory loop does).
+  using K = TypeParam;
   rng::Rng rng(113);
   for (std::size_t n = 1; n <= 20; ++n) {
     for (const std::size_t count : {0ul, 1ul, 2ul, 5ul, 9ul}) {
@@ -316,20 +304,25 @@ TEST(KernelAxpySequence, BitIdenticalToRepeatedAxpy) {
       for (std::size_t i = 0; i < n; i += 3) y[i] = -0.0;
       auto expect = y;
       for (std::size_t t = 0; t < count; ++t) {
-        axpy(alpha[t], x[t], expect.data(), n);
+        K::axpy(alpha[t], x[t], expect.data(), n);
       }
-      axpy_sequence(alpha.data(), x.data(), count, y.data(), n);
+      K::axpy_sequence(alpha.data(), x.data(), count, y.data(), n);
       EXPECT_EQ(bits(y), bits(expect)) << "n=" << n << " count=" << count;
     }
   }
 }
 
-TEST(KernelAxpyPanel, EveryRowBitIdenticalToAxpySequence) {
+template <class K>
+class KernelAxpyPanel : public ::testing::Test {};
+TYPED_TEST_SUITE(KernelAxpyPanel, CheckedLevels, LevelName);
+
+TYPED_TEST(KernelAxpyPanel, EveryRowBitIdenticalToAxpySequence) {
   // Each panel row against axpy_sequence over the same term list, across
   // the register-block widths (1..17 and the >16 fallback at 24), partial
   // row blocks (rows 1..9), an empty term list, exact zero and -0.0
   // coefficients, and +0.0 / -0.0 accumulator entries.  Padded leading
   // dimensions catch a kernel that assumes packed rows.
+  using K = TypeParam;
   rng::Rng rng(115);
   std::vector<std::size_t> widths;
   for (std::size_t n = 1; n <= 17; ++n) widths.push_back(n);
@@ -354,14 +347,102 @@ TEST(KernelAxpyPanel, EveryRowBitIdenticalToAxpySequence) {
         for (std::size_t i = 2; i < y.size(); i += 4) y[i] = -0.0;
         auto expect = y;
         for (std::size_t c = 0; c < rows; ++c) {
-          axpy_sequence(coef.data() + c * ldc, x.data(), count,
-                        expect.data() + c * ldy, n);
+          K::axpy_sequence(coef.data() + c * ldc, x.data(), count,
+                           expect.data() + c * ldy, n);
         }
-        axpy_panel(coef.data(), ldc, rows, x.data(), count, y.data(), ldy,
-                   n);
+        K::axpy_panel(coef.data(), ldc, rows, x.data(), count, y.data(), ldy,
+                      n);
         EXPECT_EQ(bits(y), bits(expect))
-            << "n=" << n << " rows=" << rows << " count=" << count
-            << " level=" << active_level_name();
+            << "n=" << n << " rows=" << rows << " count=" << count;
+      }
+    }
+  }
+}
+
+/// cholesky_upper_in_place + solve_factored_spd on one row-major n x n
+/// system, written with level K's own axpy and dot; false where the
+/// factorisation fails.
+template <class K>
+bool factor_solve_per_system(std::vector<double>& q, std::vector<double>& x,
+                             std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    double* row_j = q.data() + j * n;
+    const double diag = row_j[j];
+    if (diag <= 0.0 || !std::isfinite(diag)) return false;
+    const double rjj = std::sqrt(diag);
+    row_j[j] = rjj;
+    for (std::size_t k = j + 1; k < n; ++k) row_j[k] /= rjj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      K::axpy(-row_j[i], row_j + i, q.data() + i * n + i, n - i);
+    }
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* row_j = q.data() + j * n;
+    const double yj = x[j] / row_j[j];
+    x[j] = yj;
+    if (j + 1 < n) K::axpy(-yj, row_j + j + 1, x.data() + j + 1, n - j - 1);
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    const double* row_i = q.data() + i * n;
+    const double acc =
+        x[i] - K::dot(row_i + i + 1, x.data() + i + 1, n - i - 1);
+    x[i] = acc / row_i[i];
+  }
+  return true;
+}
+
+template <class K>
+class KernelSpdLanes : public ::testing::Test {};
+TYPED_TEST_SUITE(KernelSpdLanes, CheckedLevels, LevelName);
+
+TYPED_TEST(KernelSpdLanes, EveryLaneBitIdenticalToThePerSystemLoop) {
+  // Every lane of the lane factor + solve against the per-system loop at
+  // the same level: the same factor bits, the same solution bits, and a
+  // failure bit exactly where the loop fails.  System 1 is indefinite, so
+  // one lane of the first tile fails (one whole tile at one lane per
+  // tile); signed zeros in the right-hand sides check the exact negation.
+  using K = TypeParam;
+  constexpr std::size_t w = K::kLanes;
+  const std::size_t systems = std::max<std::size_t>(w, 3);
+  rng::Rng rng(116);
+  for (std::size_t n = 1; n <= 20; ++n) {
+    for (std::size_t first = 0; first < systems; first += w) {
+      std::vector<std::vector<double>> qs(w), xs(w);
+      std::vector<double> tile(n * n * w), rhs(n * w);
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        const Matrix g = test::random_matrix(n + 2, n, rng);
+        Matrix q = g.gram();
+        for (std::size_t a = 0; a < n; ++a) q(a, a) += 1.0;
+        if (first + lane == 1) q(n - 1, n - 1) = -1.0;
+        qs[lane].assign(q.data().begin(), q.data().end());
+        xs[lane] = random_vec(n, rng);
+        xs[lane][lane % n] = lane % 2 == 0 ? 0.0 : -0.0;
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = a; b < n; ++b) {
+            tile[(a * n + b) * w + lane] = q(a, b);
+          }
+          rhs[a * w + lane] = xs[lane][a];
+        }
+      }
+      const unsigned failed = K::spd_factor_lanes(tile.data(), n);
+      K::spd_solve_lanes(tile.data(), rhs.data(), n);
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        const bool ok = factor_solve_per_system<K>(qs[lane], xs[lane], n);
+        EXPECT_EQ((failed >> lane) & 1u, ok ? 0u : 1u)
+            << "n=" << n << " system=" << first + lane;
+        if (!ok) continue;
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = a; b < n; ++b) {
+            const double got = tile[(a * n + b) * w + lane];
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(qs[lane][a * n + b]))
+                << "n=" << n << " system=" << first + lane << " (" << a
+                << "," << b << ")";
+          }
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(rhs[a * w + lane]),
+                    std::bit_cast<std::uint64_t>(xs[lane][a]))
+              << "n=" << n << " system=" << first + lane << " x[" << a << "]";
+        }
       }
     }
   }

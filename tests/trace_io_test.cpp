@@ -123,6 +123,17 @@ TEST(FingerprintCsv, MalformedRowsAreRejectedWithPreciseMessages) {
                       "changes its center mid-file");
   expect_import_fails(header + "0,1,1,wifi,-50,1,1.5,0.5\n",
                       "not rectangular");
+  // Ids far past what the row count can fill are rejected before
+  // anything is sized from them, up to the largest u64 link id.
+  expect_import_fails(header + "0,0,1,wifi,-40,1,0,0\n" +
+                          "1000000000000,0,2,wifi,-41,1,0,0\n",
+                      "not rectangular");
+  expect_import_fails(header + "0,0,1,wifi,-40,1,0,0\n" +
+                          "4294967296,0,2,wifi,-41,1,0,0\n",
+                      "not rectangular");
+  expect_import_fails(header + "0,0,1,wifi,-40,1,0,0\n" +
+                          "18446744073709551615,0,2,wifi,-41,1,0,0\n",
+                      "not rectangular");
   // Errors carry the label and line number.
   expect_import_fails(header + "0,0,1,wifi,-50,1,0.5,0.5\n" +
                           "0,1,1,wifi,oops,1,1.5,0.5\n",
