@@ -79,6 +79,9 @@ void BM_Reconstruct(benchmark::State& state) {
       static_cast<double>(last.value().solver.mask_groups);
   state.counters["grouped_columns"] =
       static_cast<double>(last.value().solver.grouped_columns);
+  // Sweeps until the convergence stop (RsvdOptions::converge_db).
+  state.counters["iterations"] =
+      static_cast<double>(last.value().solver.iterations);
 }
 BENCHMARK(BM_Reconstruct);
 
@@ -251,29 +254,6 @@ void BM_SpdSolveMulti(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpdSolveMulti)->Arg(4)->Arg(16);
-
-// Opt-in objective-stagnation early stop (RsvdOptions::stagnation_tol):
-// the same reconstruction as BM_Reconstruct, stopping once a sweep improves
-// the objective by less than 1e-3 relative (the office trajectory flattens
-// to ~5e-4/sweep early on).  The iteration counter shows the saving
-// against the default 60-sweep trajectory.
-void BM_ReconstructStagnation(benchmark::State& state) {
-  const auto& run = office();
-  core::RsvdOptions rsvd;
-  rsvd.stagnation_tol = 1e-3;
-  api::Engine engine(api::EngineConfig().rsvd(rsvd));
-  eval::register_run(engine, run, "office");
-  const auto cells = engine.reference_cells("office").value();
-  const auto request = eval::collect_update_request(run, "office", cells, 45);
-  api::Result<api::UpdateResult> last = api::Status::internal("never ran");
-  for (auto _ : state) {
-    last = engine.reconstruct(request);
-    benchmark::DoNotOptimize(last);
-  }
-  state.counters["iterations"] =
-      static_cast<double>(last.value().solver.iterations);
-}
-BENCHMARK(BM_ReconstructStagnation);
 
 // The ingest front door: validate + fold one streamed reading into the
 // per-(link, cell) running means.  This sits on the producer path of the

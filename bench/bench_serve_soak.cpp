@@ -110,10 +110,7 @@ int main(int argc, char** argv) {
   }
 
   const eval::EnvironmentRun run(sim::make_office_testbed());
-  // The chaos run injects every fault through the engine's hook seams;
-  // loose stagnation early-stop keeps each (frequently retried) solve
-  // cheap enough that the sanitizer-slowed run still cycles the whole
-  // fail -> degrade -> recover arc inside the soak window.
+  // The chaos run injects every fault through the engine's hook seams.
   ingest::FaultInjector faults(0xC7A05EEDULL);
   std::optional<persist::DurabilityManager> durability;
   std::string durable_dir;
@@ -132,12 +129,7 @@ int main(int argc, char** argv) {
   engine_config.history_limit(4);
   {
     api::UpdateHooks hooks;
-    if (config.chaos) {
-      core::RsvdOptions rsvd;
-      rsvd.stagnation_tol = 1e-3;
-      engine_config.rsvd(rsvd);
-      hooks = faults.engine_hooks();
-    }
+    if (config.chaos) hooks = faults.engine_hooks();
     // Durability composes OUTSIDE the injector: its after_commit tap sees
     // only commits that actually published, faults and all.
     if (durability) hooks = durability->engine_hooks(std::move(hooks));

@@ -10,8 +10,9 @@
 // and 15 band slots.  One more Engine per non-default solver branch
 // serves the office alone: the published Constraint-2 curvature
 // (kPaperLiteral), Constraint 2 off (grouped L-update rows), Constraint 1
-// off, mask grouping off, and rank 20 from a random start (factor width
-// above 16).  Every
+// off, mask grouping off, rank 20 from a random start (factor width above
+// 16), and the fixed max_iters trajectory without the convergence stop
+// (converge_db = 0), which keeps the sweep's own bits pinned.  Every
 // site is updated at every paper stamp; per stamp and site the probe
 // prints the committed version, FNV-1a hashes of the committed x_hat and
 // Z, and a hash over the localize (cell, score) of one online measurement
@@ -348,6 +349,11 @@ int main() {
   office_with("office-rank20", [](core::RsvdOptions& o) {
     o.rank = 20;
     o.init = core::FactorInit::kRandom;
+  });
+  // A revision without RsvdOptions::converge_db always runs the full
+  // trajectory, so there the branch equals its default.
+  office_with("office-full", [](auto& o) {
+    if constexpr (requires { o.converge_db; }) o.converge_db = 0.0;
   });
 
   for (Probe& probe : probes) {

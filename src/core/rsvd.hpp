@@ -37,7 +37,7 @@ enum class FactorInit {
 struct RsvdOptions {
   double lambda = 0.05;        ///< rank/fit tradeoff (Eq. 11)
   std::size_t rank = 0;        ///< factor width r; 0 = use the row count M
-  std::size_t max_iters = 60;  ///< Algorithm 1 line 2 ("t")
+  std::size_t max_iters = 60;  ///< Algorithm 1 line 2 ("t"): the sweep cap
   double v_threshold = 1e-9;   ///< Algorithm 1 "v_th", relative to the data
                                ///< scale ||X_B||_F^2
   bool use_constraint1 = true;
@@ -54,14 +54,15 @@ struct RsvdOptions {
   /// self_augmented.hpp); the knob exists for the grouped-vs-ungrouped
   /// identity tests and A/B benches.
   bool group_masks = true;
-  /// Opt-in objective-stagnation early stop: when > 0, a sweep that
-  /// still improves the objective but whose relative improvement
-  /// (v_prev - v) / max(|v_prev|, 1) falls below this tolerance ends the
-  /// solve (RsvdResult::stagnated); a transient objective increase is
-  /// not stagnation and never triggers it.  The default 0 keeps the full
-  /// max_iters trajectory, so every paper figure and historical result
-  /// is untouched unless a caller asks for the saving.
-  double stagnation_tol = 0.0;
+  /// Convergence stop: the solve ends after the first sweep, from the
+  /// second on, at which no entry of the reconstruction X_hat = L R^T
+  /// moved by more than this against the previous sweep's X_hat and the
+  /// objective is the lowest so far (RsvdResult::converged).  In the
+  /// units of X_B: dB for RSS fingerprints.  A NaN change never reads as
+  /// converged.  A stopped solve is a bit-exact prefix of the full
+  /// max_iters trajectory; 0 disables the stop and always runs that
+  /// trajectory, the paper's fixed t sweeps.
+  double converge_db = 0.01;
 
   // Term weights.  The paper scales the constraint terms "to the same
   // order of magnitude" (Sec. IV-E); with auto_scale the weights below are
@@ -98,7 +99,7 @@ struct RsvdResult {
   std::vector<double> objective_history;  ///< v per iteration (line 5)
   std::size_t iterations = 0;
   bool reached_threshold = false;  ///< objective fell below v_th
-  bool stagnated = false;  ///< stopped by RsvdOptions::stagnation_tol
+  bool converged = false;  ///< stopped by RsvdOptions::converge_db
   /// Mask-grouping diagnostics (RsvdOptions::group_masks): how many
   /// multi-RHS groups (>= 2 columns sharing one factored Q) the R-update
   /// solves per sweep, and how many of the grid columns they cover.

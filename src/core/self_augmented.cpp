@@ -131,6 +131,7 @@ struct SweepContext {
   // Objective scratch.
   linalg::Matrix rt;  ///< R^T, the dot_panel operand of X_hat = L R^T
   linalg::Matrix x_hat;
+  linalg::Matrix x_hat_prev;  ///< the previous sweep's x_hat (swapped in)
   linalg::Matrix xd_obj;
   linalg::Matrix xdg_obj;
   linalg::Matrix hxd_obj;
@@ -149,6 +150,17 @@ void symmetrize_lower(double* q, std::size_t n) {
   for (std::size_t a = 1; a < n; ++a) {
     for (std::size_t b = 0; b < a; ++b) q[a * n + b] = q[b * n + a];
   }
+}
+
+/// True when every entry of `a` is within `tol` of the same entry of `b`.
+/// Written as "every |a - b| <= tol", so a NaN is never within.
+bool within(const linalg::Matrix& a, const linalg::Matrix& b, double tol) {
+  const auto x = a.data();
+  const auto y = b.data();
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (!(std::abs(x[k] - y[k]) <= tol)) return false;
+  }
+  return true;
 }
 
 /// Lanes [0, lanes) of a tile as a kernels::tile_* `active` mask.
@@ -892,6 +904,7 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
     ws.rhs_tile.resize(rr * lanes);
     ws.x.resize(std::max(ctx.rhs_r_terms, ctx.rhs_l_terms));
     ws.q_coef.resize(rr * problem.b.cols());
+    ctx.x_hat_prev.resize(l_hat.rows(), problem.b.cols());
     ws.q.resize(rr, rr);
     ws.diag.resize(rr);
     if (options_.use_constraint2) {
@@ -918,7 +931,6 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   }
   out.objective_history.reserve(options_.max_iters);
   double best_v = std::numeric_limits<double>::infinity();
-  double v_initial = -1.0;
   const double data_scale =
       std::max(linalg::frobenius_norm_sq(problem.x_b), 1.0);
 
@@ -941,7 +953,6 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
     const double v = objective(problem, w, ctx.l_next, ctx.r_next, ctx);
     out.objective_history.push_back(v);
     out.iterations = it + 1;
-    if (v_initial < 0.0) v_initial = std::max(v, 1e-12);
 
     if (v <= best_v) {
       best_v = v;
@@ -964,19 +975,16 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
     if (hist >= 2) {
       const double prev = out.objective_history[hist - 2];
       if (std::abs(prev - v) <= 1e-10 * std::max(prev, 1.0)) break;
-      // Opt-in early stop (RsvdOptions::stagnation_tol): end the solve
-      // once a sweep still improves the objective but by less than the
-      // tolerance.  A transient increase (possible under kPaperLiteral's
-      // cross-term-free curvature) is NOT stagnation — keep sweeping and
-      // let the best_v tracking hold the best iterate.  Off by default —
-      // the full max_iters trajectory is the paper's.
-      if (options_.stagnation_tol > 0.0 && prev >= v &&
-          prev - v <=
-              options_.stagnation_tol * std::max(std::abs(prev), 1.0)) {
-        out.stagnated = true;
-        break;
-      }
     }
+    // Convergence stop (RsvdOptions::converge_db): the X_hat objective()
+    // just built from this sweep's factors moved by at most the tolerance
+    // at every entry, and this sweep holds the best objective.
+    if (options_.converge_db > 0.0 && out.iterations >= 2 && v <= best_v &&
+        within(ctx.x_hat, ctx.x_hat_prev, options_.converge_db)) {
+      out.converged = true;
+      break;
+    }
+    std::swap(ctx.x_hat, ctx.x_hat_prev);
   }
 
   if (out.l.empty()) {  // max_iters == 0 edge case

@@ -1,7 +1,9 @@
 // Basic RSVD and the self-augmented solver (Algorithm 1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/mic.hpp"
 #include "core/rsvd.hpp"
@@ -78,53 +80,115 @@ TEST(BasicRsvd, RandomInitReducesObjective) {
             0.5 * result.objective_history.front());
 }
 
-TEST(SelfAugmented, StagnationTolDefaultLeavesResultsUnchanged) {
-  // The early stop is strictly opt-in: a default-constructed config and an
-  // explicit stagnation_tol = 0 must produce the identical trajectory.
-  const auto f = make_completion(8, 40, 2, 0.7, 64);
-  RsvdOptions defaults;
-  defaults.rank = 4;
-  defaults.max_iters = 30;
-  RsvdOptions explicit_off = defaults;
-  explicit_off.stagnation_tol = 0.0;
-  const BandLayout layout{8, 5};
+RsvdProblem completion_problem(const CompletionFixture& f) {
   RsvdProblem problem;
   problem.x_b = f.x_b;
   problem.b = f.b;
-  const auto a = SelfAugmentedRsvd(layout, defaults).solve(problem);
-  const auto b = SelfAugmentedRsvd(layout, explicit_off).solve(problem);
-  EXPECT_EQ(a.l, b.l);
-  EXPECT_EQ(a.r, b.r);
-  EXPECT_EQ(a.x_hat, b.x_hat);
-  EXPECT_EQ(a.objective_history, b.objective_history);
-  EXPECT_FALSE(a.stagnated);
-  EXPECT_FALSE(b.stagnated);
+  return problem;
 }
 
-TEST(SelfAugmented, StagnationTolOptInStopsEarlyNearTheSameObjective) {
-  const auto f = make_completion(8, 40, 2, 0.7, 65);
+/// Largest |a - b| over every entry.
+double max_abs_change(const linalg::Matrix& a, const linalg::Matrix& b) {
+  double worst = 0.0;
+  for (std::size_t k = 0; k < a.data().size(); ++k) {
+    worst = std::max(worst, std::abs(a.data()[k] - b.data()[k]));
+  }
+  return worst;
+}
+
+TEST(SelfAugmented, ConvergeDbZeroRunsTheFullTrajectory) {
+  const auto f = make_completion(8, 40, 2, 0.7, 64);
   RsvdOptions full;
   full.rank = 4;
-  full.max_iters = 60;
-  RsvdOptions early = full;
-  early.stagnation_tol = 1e-4;
+  full.max_iters = 30;
+  full.converge_db = 0.0;
+  const auto result = SelfAugmentedRsvd(BandLayout{8, 5}, full)
+                          .solve(completion_problem(f));
+  EXPECT_EQ(result.iterations, 30u);
+  EXPECT_EQ(result.objective_history.size(), 30u);
+  EXPECT_FALSE(result.converged);
+  EXPECT_FALSE(result.reached_threshold);
+}
+
+TEST(SelfAugmented, DefaultStopIsAPrefixEndingAtTheFirstSettledSweep) {
+  const auto f = make_completion(8, 40, 2, 0.7, 65);
   const BandLayout layout{8, 5};
-  RsvdProblem problem;
-  problem.x_b = f.x_b;
-  problem.b = f.b;
+  const RsvdProblem problem = completion_problem(f);
+  RsvdOptions stop;
+  stop.rank = 4;
+  RsvdOptions full = stop;
+  full.converge_db = 0.0;
+  const auto cut = SelfAugmentedRsvd(layout, stop).solve(problem);
   const auto ref = SelfAugmentedRsvd(layout, full).solve(problem);
-  const auto cut = SelfAugmentedRsvd(layout, early).solve(problem);
-  ASSERT_FALSE(ref.objective_history.empty());
-  ASSERT_FALSE(cut.objective_history.empty());
-  EXPECT_TRUE(cut.stagnated);
+  ASSERT_EQ(stop.converge_db, 0.01);
+  EXPECT_TRUE(cut.converged);
+  ASSERT_GT(cut.iterations, 2u);
   ASSERT_LT(cut.iterations, ref.iterations);
-  // The truncated run IS a prefix of the full one (same sweeps, earlier
-  // exit), and the abandoned tail was already flat by construction.
-  for (std::size_t k = 0; k < cut.objective_history.size(); ++k) {
+  // The stopped run IS a prefix of the full one: same sweeps, earlier exit.
+  ASSERT_EQ(cut.objective_history.size(), cut.iterations);
+  for (std::size_t k = 0; k < cut.iterations; ++k) {
     EXPECT_EQ(cut.objective_history[k], ref.objective_history[k]) << k;
   }
+  // x_hat after sweep k of the full trajectory: a max_iters = k run ends
+  // on sweep k, whose factors it returns while the objective keeps falling.
+  std::vector<linalg::Matrix> x_hat_at(cut.iterations + 1);
+  for (std::size_t k = 1; k <= cut.iterations; ++k) {
+    ASSERT_LE(ref.objective_history[k - 1],
+              k == 1 ? ref.objective_history[0]
+                     : ref.objective_history[k - 2]);
+    RsvdOptions prefix = full;
+    prefix.max_iters = k;
+    x_hat_at[k] = SelfAugmentedRsvd(layout, prefix).solve(problem).x_hat;
+  }
+  EXPECT_EQ(x_hat_at[cut.iterations], cut.x_hat);
+  // The stop fired at the first sweep whose x_hat moved by at most 0.01
+  // everywhere.  (The solver compares its dot_panel X_hat; the returned
+  // x_hat is the GEMM product, equal to it within rounding, hence the
+  // 1e-9 slack on both sides.)
+  for (std::size_t k = 2; k < cut.iterations; ++k) {
+    EXPECT_GT(max_abs_change(x_hat_at[k], x_hat_at[k - 1]), 0.01 - 1e-9)
+        << "sweep " << k << " had already settled";
+  }
+  EXPECT_LE(max_abs_change(x_hat_at[cut.iterations],
+                           x_hat_at[cut.iterations - 1]),
+            0.01 + 1e-9);
   EXPECT_NEAR(cut.objective_history.back(), ref.objective_history.back(),
-              2e-2 * std::abs(ref.objective_history.back()));
+              1e-3 * std::abs(ref.objective_history.back()));
+}
+
+TEST(SelfAugmented, FullyObservedMaskDoesNotStopVacuously) {
+  // Every entry observed: nothing is reconstructed, yet x_hat still moves
+  // while the factors settle, and the stop must wait for that.
+  const auto f = make_completion(8, 40, 2, 1.1, 66);
+  rng::Rng noise(67);
+  RsvdProblem problem = completion_problem(f);
+  for (double& v : problem.x_b.data()) v += noise.normal(0.0, 0.5);
+  RsvdOptions stop;
+  stop.rank = 4;
+  RsvdOptions two = stop;
+  two.max_iters = 2;
+  two.converge_db = 0.0;
+  RsvdOptions one = two;
+  one.max_iters = 1;
+  const BandLayout layout{8, 5};
+  ASSERT_GT(max_abs_change(SelfAugmentedRsvd(layout, two).solve(problem).x_hat,
+                           SelfAugmentedRsvd(layout, one).solve(problem).x_hat),
+            0.01);
+  const auto result = SelfAugmentedRsvd(layout, stop).solve(problem);
+  EXPECT_GT(result.iterations, 2u);
+}
+
+TEST(SelfAugmented, UnsettledSolveReportsNotConverged) {
+  // A random start is still far from settled after three sweeps.
+  const auto f = make_completion(8, 40, 2, 0.7, 68);
+  RsvdOptions opt;
+  opt.rank = 4;
+  opt.max_iters = 3;
+  opt.init = FactorInit::kRandom;
+  const auto result =
+      SelfAugmentedRsvd(BandLayout{8, 5}, opt).solve(completion_problem(f));
+  EXPECT_EQ(result.iterations, 3u);
+  EXPECT_FALSE(result.converged);
 }
 
 TEST(SelfAugmented, RandomInitMatchesWarmStartOnRealPipeline) {

@@ -741,7 +741,8 @@ TEST(MaskGroupedSweep, ForcedCholeskyFailuresReplayLikeUngrouped) {
 TEST(MaskGroupedSweep, OfficeTestbedReconstructionIsGroupedAndIdentical) {
   // The real pipeline: the office testbed's physically-structured mask
   // concentrates the grid columns on a handful of signatures; the grouped
-  // default must reproduce the ungrouped reconstruction bit for bit.
+  // default must reproduce the ungrouped reconstruction bit for bit, and
+  // the convergence stop must end both at the same sweep.
   const auto& run = test::office_run();
   core::RsvdOptions plain_rsvd;
   plain_rsvd.group_masks = false;
@@ -760,6 +761,38 @@ TEST(MaskGroupedSweep, OfficeTestbedReconstructionIsGroupedAndIdentical) {
   EXPECT_EQ(a.value().x_hat(), b.value().x_hat());
   EXPECT_EQ(a.value().solver.objective_history,
             b.value().solver.objective_history);
+  EXPECT_TRUE(a.value().solver.converged);
+  EXPECT_LT(a.value().solver.iterations, plain_rsvd.max_iters);
+  EXPECT_EQ(a.value().solver.iterations, b.value().solver.iterations);
+}
+
+TEST(MaskGroupedSweep, OfficeUpdateChainStopsAtTheSameSweepGroupedOrNot) {
+  // Committed updates warm-start each solve from the previous commit's
+  // factor: the stop still fires at the same sweep with the same bits.
+  const auto& run = test::office_run();
+  core::RsvdOptions plain_rsvd;
+  plain_rsvd.group_masks = false;
+  api::Engine grouped;
+  api::Engine plain(api::EngineConfig().rsvd(plain_rsvd));
+  ASSERT_TRUE(eval::register_run(grouped, run, "office").ok());
+  ASSERT_TRUE(eval::register_run(plain, run, "office").ok());
+  const auto cells = grouped.reference_cells("office").value();
+  for (const std::size_t day : {5u, 15u, 45u}) {
+    const auto request =
+        eval::collect_update_request(run, "office", cells, day);
+    const auto a = grouped.update(request);
+    const auto b = plain.update(request);
+    ASSERT_TRUE(a.ok()) << a.status().to_string();
+    ASSERT_TRUE(b.ok()) << b.status().to_string();
+    EXPECT_TRUE(a.value().solver.converged) << "day " << day;
+    EXPECT_LT(a.value().solver.iterations, plain_rsvd.max_iters);
+    EXPECT_EQ(a.value().solver.iterations, b.value().solver.iterations)
+        << "day " << day;
+    EXPECT_EQ(a.value().x_hat(), b.value().x_hat()) << "day " << day;
+    EXPECT_EQ(a.value().snapshot->correlation(),
+              b.value().snapshot->correlation())
+        << "day " << day;
+  }
 }
 
 }  // namespace

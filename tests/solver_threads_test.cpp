@@ -48,6 +48,12 @@ TEST(EngineThreadInvariance, MultiSiteUpdateBatchMatchesSequential) {
         << "request " << k;
     EXPECT_EQ(parallel_results[k].value().committed_version,
               serial_results[k].value().committed_version);
+    // The convergence stop is a function of the iterates alone, so it
+    // ends both solves at the same sweep.
+    EXPECT_TRUE(serial_results[k].value().solver.converged);
+    EXPECT_EQ(parallel_results[k].value().solver.iterations,
+              serial_results[k].value().solver.iterations)
+        << "request " << k;
   }
   // Both engines end in the same store state.
   for (const char* site : {"north", "south", "east"}) {
