@@ -898,13 +898,13 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   {
     const std::size_t rr = l_hat.cols();
     constexpr std::size_t lanes = linalg::kernels::kSpdLanes;
+    ctx.x_hat_prev.resize(l_hat.rows(), problem.b.cols());
     Workspace& ws = ctx.ws;
     ws.tile.resize(rr * rr * lanes);
     ws.pristine.resize(rr * rr * lanes);
     ws.rhs_tile.resize(rr * lanes);
     ws.x.resize(std::max(ctx.rhs_r_terms, ctx.rhs_l_terms));
     ws.q_coef.resize(rr * problem.b.cols());
-    ctx.x_hat_prev.resize(l_hat.rows(), problem.b.cols());
     ws.q.resize(rr, rr);
     ws.diag.resize(rr);
     if (options_.use_constraint2) {

@@ -38,6 +38,16 @@
 // factor_spd (bump ladder, LU fallback) from a copy of its tile taken
 // before factoring.  All sweep scratch lives in a SweepContext sized once
 // per solve, so steady-state iterations perform zero heap allocations.
+// The solve runs only until the reconstruction settles
+// (RsvdOptions::converge_db): after each sweep the X_hat the objective
+// builds is compared with the previous sweep's (two swapped buffers), and
+// the solve ends at the first sweep, holding the best objective so far,
+// at which no entry moved by more than converge_db (0.01 dB by default).
+// A warm-started update settles in about 8-16 sweeps instead of
+// max_iters = 60.  The decision reads only the iterates, so a stopped
+// solve is a bit-exact prefix of the fixed trajectory and every
+// bit-identity below (threads, grouping, recovery) holds; the sweep count
+// may differ between dispatch levels.
 //
 // Mask-grouping invariant (RsvdOptions::group_masks, default on).  The
 // normal matrix Q of the column-j R-update is

@@ -154,7 +154,7 @@ struct Golden {
 };
 constexpr Room kAllRooms = kRooms;
 
-/// Mean and sample SD over the seeds of `per_seed(s)`.
+/// Mean and sample SD over the seeds of `per_seed(s)`, s = 0..kSeeds-1.
 struct SeedStats {
   double mean = 0.0;
   double sd = 0.0;
@@ -165,14 +165,18 @@ SeedStats seed_stats(PerSeed per_seed) {
   std::array<double, kSeeds> v{};
   SeedStats st;
   for (std::size_t s = 0; s < kSeeds; ++s) {
-    v[s] = per_seed(all_runs()[s * kRooms], all_runs()[s * kRooms + 1],
-                    all_runs()[s * kRooms + 2]);
+    v[s] = per_seed(s);
     st.mean += v[s] / kSeeds;
   }
   double ss = 0.0;
   for (const double x : v) ss += (x - st.mean) * (x - st.mean);
   st.sd = std::sqrt(ss / (kSeeds - 1));
   return st;
+}
+
+/// The run of `room` at seed index s.
+const RunFigures& run_of(Room room, std::size_t s) {
+  return all_runs()[s * kRooms + room];
 }
 
 void check_goldens(Protocol protocol, const std::vector<Golden>& goldens) {
@@ -193,21 +197,21 @@ void check_goldens(Protocol protocol, const std::vector<Golden>& goldens) {
                 {"loc median m", &Figures::loc_median_m, g.loc_median_m},
                 {"loc p90 m", &Figures::loc_p90_m, g.loc_p90_m}};
     for (const auto& row : rows) {
-      const SeedStats st = seed_stats([&](const RunFigures& office,
-                                          const RunFigures& library,
-                                          const RunFigures& hall) {
-        const RunFigures* rooms[kRooms] = {&office, &library, &hall};
-        if (!all) return (*rooms[g.room])[protocol][stamp].*row.field;
+      const SeedStats st = seed_stats([&](std::size_t s) {
+        if (!all) return run_of(g.room, s)[protocol][stamp].*row.field;
         double sum = 0.0;
-        for (const RunFigures* r : rooms) {
-          for (const Figures& f : (*r)[protocol]) sum += f.*row.field;
+        for (std::size_t r = 0; r < kRooms; ++r) {
+          for (const Figures& f : run_of(Room(r), s)[protocol]) {
+            sum += f.*row.field;
+          }
         }
         return sum / (kRooms * kStamps);
       });
       const std::string where =
-          std::string(all ? "all" : kRoomNames[g.room]) + " day " +
-          (all ? std::string("all") : std::to_string(g.day));
-      std::printf("%-11s %-16s %-15s %8.4f  (golden %8.4f +- %.3f, "
+          all ? std::string("all rooms, stamps")
+              : kRoomNames[g.room] + std::string(" day ") +
+                    std::to_string(g.day);
+      std::printf("%-11s %-18s %-15s %8.4f  (golden %8.4f +- %.3f, "
                   "seed SD %.4f)\n",
                   kProtocolNames[protocol], where.c_str(), row.name, st.mean,
                   row.pinned.value, row.pinned.tol, st.sd);
