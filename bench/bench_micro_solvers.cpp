@@ -79,8 +79,9 @@ void BM_Reconstruct(benchmark::State& state) {
       static_cast<double>(last.value().solver.mask_groups);
   state.counters["grouped_columns"] =
       static_cast<double>(last.value().solver.grouped_columns);
-  // Sweeps until the convergence stop (RsvdOptions::converge_db).
-  state.counters["iterations"] =
+  // Sweeps until the convergence stop (RsvdOptions::converge_db); not
+  // named "iterations", which google-benchmark's JSON already uses.
+  state.counters["sweeps"] =
       static_cast<double>(last.value().solver.iterations);
 }
 BENCHMARK(BM_Reconstruct);
