@@ -122,7 +122,6 @@ Status Engine::apply_wal_record(const persist::WalRecord& record) {
       build_localizer(record.snapshot->database());
   if (!localizer.ok()) return localizer.status();
 
-  std::shared_ptr<serve::SiteShard> shard;
   {
     const auto lock = state_lock();
     if (store_.contains(site)) {
@@ -141,23 +140,14 @@ Status Engine::apply_wal_record(const persist::WalRecord& record) {
           " with no checkpoint behind it — the checkpoint is missing");
     }
     if (Status s = store_.put(record.snapshot); !s.ok()) return s;
-    shard = shards_->publish(
-        site, std::make_shared<const serve::PublishedSite>(
-                  serve::PublishedSite{record.snapshot,
-                                       std::move(localizer).value()}));
+    shards_->publish(site,
+                     std::make_shared<const serve::PublishedSite>(
+                         serve::PublishedSite{record.snapshot,
+                                              std::move(localizer).value()}));
   }
-  const auto lock = shard->lock_for_update();
-  serve::WarmCaches& caches = shard->caches(lock);
-  if (record.warm.factor != nullptr &&
-      record.warm.factor_version >= caches.factor_version) {
-    caches.factor_version = record.warm.factor_version;
-    caches.factor = record.warm.factor;
-  }
-  if (record.warm.lrr != nullptr &&
-      record.warm.lrr_version >= caches.lrr_version) {
-    caches.lrr_version = record.warm.lrr_version;
-    caches.lrr = record.warm.lrr;
-  }
+  // The live commit's install: DurabilityManager::on_commit writes the
+  // snapshot's version into both warm slots.
+  cache_warm_state(site, version, record.warm.factor, record.warm.lrr);
   return {};
 }
 
