@@ -73,12 +73,6 @@ void BM_Reconstruct(benchmark::State& state) {
     last = engine.reconstruct(request);
     benchmark::DoNotOptimize(last);
   }
-  // Mask-group coverage of the R-update (how many multi-RHS groups the
-  // sweep factors once, and how many grid columns they cover).
-  state.counters["mask_groups"] =
-      static_cast<double>(last.value().solver.mask_groups);
-  state.counters["grouped_columns"] =
-      static_cast<double>(last.value().solver.grouped_columns);
   // Sweeps until the convergence stop (RsvdOptions::converge_db); not
   // named "iterations", which google-benchmark's JSON already uses.
   state.counters["sweeps"] =
@@ -227,34 +221,8 @@ void BM_RassGridSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_RassGridSearch)->Arg(1)->Arg(8);
 
-// --- PR 5 additions (mask-grouped multi-RHS SPD pipeline), appended last
-// per the code-layout note above.
-
-// Factor-once multi-RHS SPD solve, the per-group hot path of the
-// mask-grouped sweep: one 16x16 normal matrix, k right-hand sides solved
-// as a panel through one factorisation.  Runs in microseconds — gated by
-// a per-row noise floor in scripts/bench_check.py.
-void BM_SpdSolveMulti(benchmark::State& state) {
-  rng::Rng rng(24);
-  const std::size_t n = 16;
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix base(n + 4, n);
-  for (double& v : base.data()) v = rng.normal();
-  linalg::Matrix a = base.gram();
-  for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.05;
-  linalg::Matrix rhs(n, k);
-  for (double& v : rhs.data()) v = rng.normal();
-  linalg::Matrix factor, panel;
-  std::vector<double> diag(n), dots(k);
-  for (auto _ : state) {
-    factor = a;
-    panel = rhs;
-    benchmark::DoNotOptimize(linalg::factor_spd(factor, diag));
-    linalg::solve_factored_spd_multi(factor, panel, dots);
-    benchmark::DoNotOptimize(panel.data().data());
-  }
-}
-BENCHMARK(BM_SpdSolveMulti)->Arg(4)->Arg(16);
+// --- Streaming-ingest additions, appended last per the code-layout note
+// above.
 
 // The ingest front door: validate + fold one streamed reading into the
 // per-(link, cell) running means.  This sits on the producer path of the
@@ -390,7 +358,7 @@ BENCHMARK(BM_Recover);
 // them one by one (factor_spd + solve_factored_spd), /1 kSpdLanes at a
 // time through kernels::spd_factor_lanes + spd_solve_lanes, tile packing
 // included — the batched half-sweep's factor/solve core.  Microseconds per
-// call: floored in scripts/bench_check.py like BM_SpdSolveMulti.
+// call: floored in scripts/bench_check.py.
 void BM_SpdSolveLanes(benchmark::State& state) {
   struct Systems {
     std::vector<linalg::Matrix> q;
@@ -491,9 +459,14 @@ BENCHMARK(BM_OmpLocalizeNoisy);
 
 // The real office update(): solve from the cached warm factor, correlation
 // refresh, localizer build and publish — what BM_Reconstruct leaves out.
-// Arg(1) adds a DurabilityManager in a temp dir (WAL append per commit,
-// checkpoint rolls at the default cadence, fsync off so the row measures
-// the encode and write path, not the disk).
+// Every iteration times the same commit: with timing paused it drops and
+// re-registers the office and commits a day-15 update, so the day-45
+// commit it times starts from the same warm factor and correlation state
+// whatever the iteration count (committing day 45 on top of itself would
+// compound the database and time a state that diverges with it).  Arg(1)
+// adds a DurabilityManager in a temp dir (WAL append per commit, checkpoint
+// rolls at the default cadence, fsync off so the row measures the encode
+// and write path, not the disk).
 void BM_CommitUpdate(benchmark::State& state) {
   const auto& run = office();
   const BenchDir dir;
@@ -509,15 +482,25 @@ void BM_CommitUpdate(benchmark::State& state) {
   }
   eval::register_run(engine, run, "office");
   const auto cells = engine.reference_cells("office").value();
+  const auto warm_up = eval::collect_update_request(run, "office", cells, 15);
   const auto request = eval::collect_update_request(run, "office", cells, 45);
+  std::size_t sweeps = 0;
   for (auto _ : state) {
+    state.PauseTiming();
+    engine.drop_site("office");
+    eval::register_run(engine, run, "office");
+    const bool warmed = engine.update(warm_up).ok();
+    state.ResumeTiming();
     const auto committed = engine.update(request);
-    if (!committed.ok()) {
+    if (!warmed || !committed.ok()) {
       state.SkipWithError("update failed");
       return;
     }
+    sweeps = committed.value().solver.iterations;
     benchmark::DoNotOptimize(committed);
   }
+  // Sweeps of the timed solve (RsvdOptions::converge_db).
+  state.counters["sweeps"] = static_cast<double>(sweeps);
 }
 BENCHMARK(BM_CommitUpdate)->Arg(0)->Arg(1);
 

@@ -57,9 +57,6 @@ LATENCY_COUNTERS = ("p50_us", "p99_us")
 # only ever warn.  Matched before --noise-floor-ns; first hit wins.
 ROW_NOISE_FLOORS = [
     (r"^BM_KernelDot", 50000.0),
-    # One 16x16 factor + panel solve runs in ~1-3 us: pure turbo lottery
-    # on a shared box, so it can only ever warn.
-    (r"^BM_SpdSolveMulti", 50000.0),
     # The office R-update's 96 rank-8 solves, one by one or lane-batched:
     # tens of microseconds of divide/sqrt chains, turbo lottery likewise.
     (r"^BM_SpdSolveLanes", 50000.0),

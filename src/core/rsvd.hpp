@@ -45,15 +45,6 @@ struct RsvdOptions {
   Constraint2Mode c2_mode = Constraint2Mode::kGaussSeidel;
   FactorInit init = FactorInit::kWarmStart;
   std::uint64_t init_seed = 7;  ///< seed for kRandom initialisation
-  /// Group the per-column solves of the R-update (and, when Constraint 2
-  /// is inactive, the per-row solves of the L-update) by observation-mask
-  /// signature: columns whose normal matrix Q is provably identical share
-  /// one Q build and one factorisation; without grouping every column is
-  /// a group of one on the same batched path.  Results are bit-identical
-  /// to the ungrouped sweep (the invariant is documented in
-  /// self_augmented.hpp); the knob exists for the grouped-vs-ungrouped
-  /// identity tests and A/B benches.
-  bool group_masks = true;
   /// Convergence stop: the solve ends after the first sweep, from the
   /// second on, at which no entry of the reconstruction X_hat = L R^T
   /// moved by more than this against the previous sweep's X_hat and the
@@ -100,10 +91,9 @@ struct RsvdResult {
   std::size_t iterations = 0;
   bool reached_threshold = false;  ///< objective fell below v_th
   bool converged = false;  ///< stopped by RsvdOptions::converge_db
-  /// Mask-grouping diagnostics (RsvdOptions::group_masks): how many
-  /// multi-RHS groups (>= 2 columns sharing one factored Q) the R-update
-  /// solves per sweep, and how many of the grid columns they cover.
-  std::size_t mask_groups = 0;
+  /// Always 0: every grid column factors its own Q, so none shares one.
+  /// Kept only because perfbench (perfbench/src/layers.cpp) reads it for
+  /// its core.grouped_share metric; it goes when that metric is retired.
   std::size_t grouped_columns = 0;
 };
 

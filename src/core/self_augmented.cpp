@@ -1,13 +1,10 @@
 #include "core/self_augmented.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <string>
-#include <unordered_map>
 
 #include "core/constraints.hpp"
 #include "linalg/cholesky.hpp"
@@ -31,25 +28,16 @@
 //      adjacent-link differences are penalised); kPaperLiteral keeps the
 //      published curvature including the first-row term.
 //
-// Grouped == ungrouped: every column j of the R-update / row i of the
-// L-update writes only its own output row, its Q and right-hand side are
-// rebuilt from scratch with one fixed op sequence, and every lane of the
-// batched factor/solve is bit-identical to the per-system solve.
+// Tiles and bits: every column j of the R-update / row i of the L-update
+// writes only its own output row, its Q and right-hand side are rebuilt
+// from scratch with one fixed op sequence, and every lane of the batched
+// factor/solve is bit-identical to the per-system solve.
 namespace iup::core {
 
-/// One batch of sweep indices whose normal matrix Q is identical (the
-/// mask-grouping invariant, self_augmented.hpp): Q is built and factored
-/// once from members.front() and solved once per member.  Without
-/// grouping, every index is a group of one.
-struct MaskGroup {
-  std::vector<std::size_t> members;  ///< ascending column / row indices
-};
-
-/// Per R-update tile of kSpdLanes groups: the union of its lanes'
-/// unobserved row sets (the front member's), ascending, and per row the
-/// mask of lanes whose set holds it — the operands of
-/// kernels::tile_rank1_union.  Fixed for the solve: it depends only on B
-/// and the groups.
+/// Per R-update tile of kSpdLanes consecutive columns: the union of its
+/// lanes' unobserved row sets, ascending, and per row the mask of lanes
+/// whose set holds it — the operands of kernels::tile_rank1_union.  Fixed
+/// for the solve: it depends only on B.
 struct TileUnions {
   std::vector<std::size_t> idx;
   std::vector<unsigned> lanes;
@@ -71,9 +59,6 @@ struct Workspace {
   // Failure replay: the per-system path of a lane whose factor failed.
   linalg::Matrix q;          ///< rr x rr: pristine Q (also the L build's)
   std::vector<double> diag;  ///< rr, retry-ladder scratch
-  linalg::Matrix panel;      ///< rr x k RHS panel of one failed group
-  std::vector<double> dots;  ///< k, solve_factored_spd_multi scratch
-  linalg::Matrix q_retry;    ///< per-member LU-fallback replay copy
   // Constraint-2 lane scratch of one tile (kernels/lane_tile.hpp layouts;
   // idle lanes hold zeros).  R-update: each lane's band row of L.
   // L-update: each lane's Theta_i stored transposed (row u = the factor of
@@ -106,16 +91,9 @@ struct SweepContext {
   // replaces ~dense-many rank-1 updates by ~(1-density)-many.
   std::vector<std::vector<std::size_t>> unobs_rows;  ///< per column j
   std::vector<std::vector<std::size_t>> unobs_cols;  ///< per row i
-  // The systems of each half-sweep, built once per solve (the grouping
-  // depends only on B, the layout and the constraint weights — all fixed
-  // across sweeps), largest group first.  Mask groups when
-  // RsvdOptions::group_masks, singletons otherwise; the L-update's rows
-  // are always singletons under Constraint 2 (per-row Theta curvature).
-  std::vector<MaskGroup> col_groups;  ///< R-update (grid columns)
-  std::vector<MaskGroup> row_groups;  ///< L-update (links)
   TileUnions col_unions;
   // R-update Constraint 2, per tile: the lanes' curvature weights w2c then
-  // w3c (two lane vectors, idle lanes zero), fixed with the groups.
+  // w3c (two lane vectors, idle lanes zero), fixed for the solve.
   std::vector<double> col_curvature;
   // Right-hand-side coefficient panels, fixed for the solve: R-update row
   // j holds [B o X_B](:, j) then w1 P(:, j); L-update row i holds
@@ -168,22 +146,19 @@ unsigned active_lanes(std::size_t lanes) {
   return static_cast<unsigned>((std::uint64_t{1} << lanes) - 1u);
 }
 
-/// The TileUnions of `groups`, tile by tile, over index sets drawn from
-/// [0, universe).
-TileUnions tile_unions(const std::vector<MaskGroup>& groups,
-                       const std::vector<std::vector<std::size_t>>& unobs,
+/// The TileUnions of the index sets `unobs` (drawn from [0, universe)),
+/// kSpdLanes consecutive sets per tile.
+TileUnions tile_unions(const std::vector<std::vector<std::size_t>>& unobs,
                        std::size_t universe) {
   constexpr std::size_t w = linalg::kernels::kSpdLanes;
   TileUnions out;
   std::vector<unsigned> bits(universe);
-  for (std::size_t g0 = 0; g0 < groups.size(); g0 += w) {
+  for (std::size_t j0 = 0; j0 < unobs.size(); j0 += w) {
     out.start.push_back(out.idx.size());
     std::fill(bits.begin(), bits.end(), 0u);
-    const std::size_t lanes = std::min(w, groups.size() - g0);
+    const std::size_t lanes = std::min(w, unobs.size() - j0);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      for (const std::size_t i : unobs[groups[g0 + lane].members.front()]) {
-        bits[i] |= 1u << lane;
-      }
+      for (const std::size_t i : unobs[j0 + lane]) bits[i] |= 1u << lane;
     }
     for (std::size_t i = 0; i < universe; ++i) {
       if (bits[i] == 0) continue;
@@ -195,102 +170,50 @@ TileUnions tile_unions(const std::vector<MaskGroup>& groups,
   return out;
 }
 
-/// Replay one group whose lane factorisation failed through the
-/// per-system path, from its pristine Q (lane `lane` of ws.pristine)
-/// mirrored to the full symmetric matrix: a singleton through
-/// solve_spd_into; a group through factor_spd plus one multi-RHS panel
-/// solve, or — if even the bump ladder fails — solve_spd_into per member
-/// on the restored Q (LU fallback).  The failed lane attempt itself is not
-/// counted, so the bits and SpdStats are those of the per-system path.
-/// SpdStats granularity: a shared factorisation counts its failure and
-/// bump recovery once per group instead of once per member, and the LU
-/// replay adds one group-level failure on top of the per-member ladders
-/// (k members report k+1 failures where the same columns solved one by
-/// one report k).
-void replay_failed(const MaskGroup& grp, std::size_t lane, Workspace& ws,
-                   linalg::Matrix& out) {
-  constexpr std::size_t w = linalg::kernels::kSpdLanes;
-  const std::size_t n = ws.q.rows();
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a; b < n; ++b) {
-      ws.q(a, b) = ws.pristine[(a * n + b) * w + lane];
-    }
-  }
-  symmetrize_lower(ws.q.data().data(), n);
-  if (grp.members.size() == 1) {
-    linalg::solve_spd_into(ws.q, out.row_span(grp.members.front()), ws.diag);
-    return;
-  }
-  if (!linalg::factor_spd(ws.q, ws.diag)) {
-    for (const std::size_t j : grp.members) {
-      ws.q_retry = ws.q;
-      linalg::solve_spd_into(ws.q_retry, out.row_span(j), ws.diag);
-    }
-    return;
-  }
-  const std::size_t k = grp.members.size();
-  ws.panel.resize(n, k);
-  ws.dots.resize(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto row = out.row_span(grp.members[c]);
-    for (std::size_t i = 0; i < n; ++i) ws.panel(i, c) = row[i];
-  }
-  linalg::solve_factored_spd_multi(ws.q, ws.panel, ws.dots);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto row = out.row_span(grp.members[c]);
-    for (std::size_t i = 0; i < n; ++i) row[i] = ws.panel(i, c);
-  }
-}
-
-/// The batched half-sweep: build -> factor -> solve, kSpdLanes groups at a
-/// time.  On entry each member's row of `out` holds its right-hand side;
-/// on return it holds the solution.  `build(tile, g0, lanes)` writes the
-/// Q of groups [g0, g0 + lanes) straight into ws.tile (diagonal and upper
-/// triangle, idle lanes the identity) and may append terms to those
-/// members' right-hand sides.  The tile is copied to ws.pristine, factored
-/// in one spd_factor_lanes call, failed lanes replay through
-/// replay_failed, and the rest solve in member rounds: round t solves
-/// member t of every lane that has one (groups come largest first, so the
-/// lanes of a tile carry similar member counts).
+/// The batched half-sweep: build -> factor -> solve, kSpdLanes consecutive
+/// systems at a time.  On entry row k of `out` (k < count) holds system
+/// k's right-hand side; on return its solution.  `build(tile, k0, lanes)`
+/// writes the Q of systems [k0, k0 + lanes) straight into ws.tile
+/// (diagonal and upper triangle, idle lanes the identity) and may append
+/// terms to their right-hand sides.  The tile is copied to ws.pristine,
+/// factored and solved lane-parallel, and a lane whose unbumped
+/// factorisation failed replays through linalg::solve_spd_into (bump
+/// ladder, LU fallback) from its pristine Q mirrored to the full symmetric
+/// matrix.  The failed lane attempt itself is not counted, so the bits
+/// and SpdStats are those of the one-system-at-a-time solve.
 template <typename Build>
-void solve_batched(const std::vector<MaskGroup>& groups, std::size_t rr,
-                   Workspace& ws, linalg::Matrix& out, const Build& build) {
+void solve_batched(std::size_t count, std::size_t rr, Workspace& ws,
+                   linalg::Matrix& out, const Build& build) {
   constexpr std::size_t w = linalg::kernels::kSpdLanes;
-  for (std::size_t g0 = 0, tile = 0; g0 < groups.size(); g0 += w, ++tile) {
-    const std::size_t lanes = std::min(w, groups.size() - g0);
-    build(tile, g0, lanes);
+  for (std::size_t k0 = 0, tile = 0; k0 < count; k0 += w, ++tile) {
+    const std::size_t lanes = std::min(w, count - k0);
+    build(tile, k0, lanes);
     std::copy(ws.tile.begin(), ws.tile.end(), ws.pristine.begin());
     const unsigned failed =
         linalg::kernels::spd_factor_lanes(ws.tile.data(), rr);
-    std::size_t rounds = 0;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const MaskGroup& grp = groups[g0 + lane];
-      if ((failed >> lane) & 1u) {
-        replay_failed(grp, lane, ws, out);
-      } else {
-        rounds = std::max(rounds, grp.members.size());
+    const auto solved = [&](std::size_t lane) {
+      return lane < lanes && ((failed >> lane) & 1u) == 0;
+    };
+    for (std::size_t lane = 0; lane < w; ++lane) {
+      const double* b = solved(lane) ? out.row_span(k0 + lane).data() : nullptr;
+      for (std::size_t a = 0; a < rr; ++a) {
+        ws.rhs_tile[a * w + lane] = b != nullptr ? b[a] : 0.0;
       }
     }
-    // Member index t of `lane`'s group in this round, or nullptr.
-    const auto member_row = [&](std::size_t lane, std::size_t t) -> double* {
-      if (lane >= lanes || ((failed >> lane) & 1u)) return nullptr;
-      const MaskGroup& grp = groups[g0 + lane];
-      return t < grp.members.size() ? out.row_span(grp.members[t]).data()
-                                    : nullptr;
-    };
-    for (std::size_t t = 0; t < rounds; ++t) {
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        const double* b = member_row(lane, t);
-        for (std::size_t a = 0; a < rr; ++a) {
-          ws.rhs_tile[a * w + lane] = b != nullptr ? b[a] : 0.0;
+    linalg::kernels::spd_solve_lanes(ws.tile.data(), ws.rhs_tile.data(), rr);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const auto x = out.row_span(k0 + lane);
+      if (solved(lane)) {
+        for (std::size_t a = 0; a < rr; ++a) x[a] = ws.rhs_tile[a * w + lane];
+        continue;
+      }
+      for (std::size_t a = 0; a < rr; ++a) {
+        for (std::size_t b = a; b < rr; ++b) {
+          ws.q(a, b) = ws.pristine[(a * rr + b) * w + lane];
         }
       }
-      linalg::kernels::spd_solve_lanes(ws.tile.data(), ws.rhs_tile.data(), rr);
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        double* x = member_row(lane, t);
-        if (x == nullptr) continue;
-        for (std::size_t a = 0; a < rr; ++a) x[a] = ws.rhs_tile[a * w + lane];
-      }
+      symmetrize_lower(ws.q.data().data(), rr);
+      linalg::solve_spd_into(ws.q, x, ws.diag);
     }
   }
 }
@@ -540,13 +463,11 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
     }
   }
 
-  // One tile of groups' Q, element by element across the lanes: (lambda*I
-  // + L^T L) minus the unobserved rows' outer products, then the
+  // One tile of columns' Q, element by element across the lanes:
+  // (lambda*I + L^T L) minus the unobserved rows' outer products, then the
   // Constraint-1 curvature, then the two Constraint-2 rank-1s of each
-  // lane's band row — per element one fixed op sequence (the mask-grouping
-  // invariant relies on identical inputs plus an identical sequence
-  // producing identical bits).
-  const auto build = [&](std::size_t tile, std::size_t g0, std::size_t lanes) {
+  // lane's band row — per element the per-system op sequence.
+  const auto build = [&](std::size_t tile, std::size_t j0, std::size_t lanes) {
     linalg::kernels::tile_seed(ws.tile.data(), rr, ctx.lql.data().data(),
                                active_lanes(lanes));
     const TileUnions& u = ctx.col_unions;
@@ -562,11 +483,8 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
     if (!c2) return;
     for (std::size_t lane = 0; lane < lw; ++lane) {
       const double* l_band =
-          lane < lanes
-              ? l.row_span(layout_.band_of(
-                               ctx.col_groups[g0 + lane].members.front()))
-                    .data()
-              : nullptr;
+          lane < lanes ? l.row_span(layout_.band_of(j0 + lane)).data()
+                       : nullptr;
       for (std::size_t k = 0; k < rr; ++k) {
         ws.band[k * lw + lane] = l_band != nullptr ? l_band[k] : 0.0;
       }
@@ -581,7 +499,7 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
                                         ws.band.data());
     }
   };
-  solve_batched(ctx.col_groups, rr, ws, ctx.r_next, build);
+  solve_batched(n, rr, ws, ctx.r_next, build);
 }
 
 void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
@@ -626,15 +544,14 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
                               ws.x.data(), ctx.rhs_l_terms,
                               ctx.l_next.data().data(), rr, rr);
 
-  // Constraint 2, every group a single row i: per lane, Theta_i transposed
-  // (row u = the factor of band cell (i, u)), its curvature products
-  // (Theta G)(Theta G)^T and Theta Theta^T, and the similarity cross term
-  // w3 * Theta * neighbour_sum appended to row i's right-hand side.
-  const auto theta_products = [&](std::size_t g0, std::size_t lanes) {
+  // Constraint 2, per lane and row i: Theta_i transposed (row u = the
+  // factor of band cell (i, u)), its curvature products (Theta G)(Theta
+  // G)^T and Theta Theta^T, and the similarity cross term w3 * Theta *
+  // neighbour_sum appended to row i's right-hand side.
+  const auto theta_products = [&](std::size_t i0, std::size_t lanes) {
     for (std::size_t lane = 0; lane < lw; ++lane) {
       const bool live = lane < lanes;
-      const std::size_t i = live ? ctx.row_groups[g0 + lane].members.front()
-                                 : 0;
+      const std::size_t i = live ? i0 + lane : 0;
       for (std::size_t u = 0; u < slots; ++u) {
         const double* ru = r.row_span(layout_.cell(i, u)).data();
         for (std::size_t k = 0; k < rr; ++k) {
@@ -673,33 +590,30 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
           for (std::size_t k = 0; k < rr; ++k) {
             ws.row[k] = ws.contrib[k * lw + lane];
           }
-          const std::size_t i = ctx.row_groups[g0 + lane].members.front();
           linalg::kernels::axpy(w.w3, ws.row.data(),
-                                ctx.l_next.row_span(i).data(), rr);
+                                ctx.l_next.row_span(i0 + lane).data(), rr);
         }
       }
     }
   };
 
-  // One tile of groups' Q, mirroring update_r: (lambda*I + R^T R) minus
+  // One tile of rows' Q, mirroring update_r: (lambda*I + R^T R) minus
   // the unobserved columns' outer products, then the Constraint-1
   // curvature, then (Constraint 2 active) each row's Theta curvature.
-  // Without Constraint 2, Q is mask-only and rows sharing an unobserved
-  // set share it.  The downdates run per system, all Q rows of a lane in
-  // one axpy_panel pass over its own unobserved columns (coefficient
-  // -r_j[a] for row a, an exact zero where the per-row build skipped),
-  // written straight into the lane: a tile's union of unobserved columns
-  // is several times one row's own set, so the masked union the R-update
-  // uses measured slower here.
-  const auto build = [&](std::size_t, std::size_t g0, std::size_t lanes) {
-    if (c2) theta_products(g0, lanes);
+  // The downdates run per system, all Q rows of a lane in one axpy_panel
+  // pass over its own unobserved columns (coefficient -r_j[a] for row a,
+  // an exact zero where the per-row build skipped), written straight into
+  // the lane: a tile's union of unobserved columns is several times one
+  // row's own set, so the masked union the R-update uses measured slower
+  // here.
+  const auto build = [&](std::size_t, std::size_t i0, std::size_t lanes) {
+    if (c2) theta_products(i0, lanes);
     const unsigned live = active_lanes(lanes);
     // The identity in idle lanes; live lanes are overwritten below.
     linalg::kernels::tile_seed(ws.tile.data(), rr, ctx.rql.data().data(),
                                live);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const auto& unobs =
-          ctx.unobs_cols[ctx.row_groups[g0 + lane].members.front()];
+      const auto& unobs = ctx.unobs_cols[i0 + lane];
       const std::size_t count = unobs.size();
       for (std::size_t t = 0; t < count; ++t) {
         const double* rj = r.row_span(unobs[t]).data();
@@ -738,7 +652,7 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
                                        ws.ttt.data(), live);
     }
   };
-  solve_batched(ctx.row_groups, rr, ws, ctx.l_next, build);
+  solve_batched(m, rr, ws, ctx.l_next, build);
 }
 
 RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
@@ -765,7 +679,10 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   SweepContext ctx;
 
   // B is fixed across the whole solve: scan the observed/unobserved index
-  // sets once, instead of re-testing every mask entry in every sweep.
+  // sets once, instead of re-testing every mask entry in every sweep.  The
+  // per-tile unobserved unions, the Constraint-2 curvature lanes and the
+  // right-hand-side coefficient panels likewise depend only on B, X_B, P
+  // and the weights.
   {
     const std::size_t m = problem.b.rows();
     const std::size_t n = problem.b.cols();
@@ -779,99 +696,15 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
         }
       }
     }
-  }
-
-  // Mask grouping (the invariant is documented in the header): a column's
-  // Q depends on the mask/layout structure and the current factor only —
-  // never on the column's observed values — so columns whose Q-defining
-  // inputs coincide share Q bit for bit in every sweep.  Encode those
-  // inputs (unobserved row set; under Constraint 2 also the band row and
-  // the scalar curvature weights) as a byte-string signature and group by
-  // it, keeping first-occurrence order so the grouped fan-out is
-  // deterministic.  Built once: B and the weights are fixed per solve.
-  if (options_.group_masks) {
-    const std::size_t m = problem.b.rows();
-    const std::size_t n = problem.b.cols();
-    const bool c2 = options_.use_constraint2 && (w.w2 > 0.0 || w.w3 > 0.0);
-    const auto append_word = [](std::string& key, std::uint64_t word) {
-      for (int b = 0; b < 64; b += 8) {
-        key.push_back(static_cast<char>((word >> b) & 0xff));
-      }
-    };
-    const auto group_by_signature =
-        [&](std::size_t count,
-            const std::vector<std::vector<std::size_t>>& unobs,
-            const auto& extra_words, std::vector<MaskGroup>& groups) {
-          std::unordered_map<std::string, std::size_t> index;
-          std::string key;
-          for (std::size_t j = 0; j < count; ++j) {
-            key.clear();
-            extra_words(key, j);
-            for (const std::size_t i : unobs[j]) {
-              append_word(key, static_cast<std::uint64_t>(i));
-            }
-            const auto [it, inserted] =
-                index.try_emplace(key, groups.size());
-            if (inserted) groups.emplace_back();
-            groups[it->second].members.push_back(j);
-          }
-        };
-    group_by_signature(
-        n, ctx.unobs_rows,
-        [&](std::string& key, std::size_t j) {
-          if (!c2) return;
-          append_word(key, static_cast<std::uint64_t>(layout_.band_of(j)));
-          const auto [w2c, w3c] = c2_curvature(w, j);
-          append_word(key, std::bit_cast<std::uint64_t>(w2c));
-          append_word(key, std::bit_cast<std::uint64_t>(w3c));
-        },
-        ctx.col_groups);
-    // The L-update's Q gains per-row Theta curvature under Constraint 2,
-    // which makes every row unique; group rows only when Q is mask-only.
-    if (!c2) {
-      group_by_signature(
-          m, ctx.unobs_cols, [](std::string&, std::size_t) {},
-          ctx.row_groups);
-    }
-  }
-  // Ungrouped indices — every index without group_masks, and the
-  // L-update's rows under Constraint 2 — are groups of one on the same
-  // batched path.
-  const auto fill_singletons = [](std::size_t count,
-                                  std::vector<MaskGroup>& groups) {
-    if (!groups.empty()) return;
-    groups.resize(count);
-    for (std::size_t j = 0; j < count; ++j) groups[j].members = {j};
-  };
-  fill_singletons(problem.b.cols(), ctx.col_groups);
-  fill_singletons(problem.b.rows(), ctx.row_groups);
-  // Largest groups first, so the lanes of one tile carry similar member
-  // counts and few sit idle in the member rounds.  Every system writes
-  // only its own output rows, so the order cannot change any bit.
-  const auto by_size = [](const MaskGroup& a, const MaskGroup& b) {
-    return a.members.size() > b.members.size();
-  };
-  std::stable_sort(ctx.col_groups.begin(), ctx.col_groups.end(), by_size);
-  std::stable_sort(ctx.row_groups.begin(), ctx.row_groups.end(), by_size);
-
-  // The per-tile unobserved unions and the right-hand-side coefficient
-  // panels depend only on B, X_B, P, the weights and the groups.
-  {
-    const std::size_t m = problem.b.rows();
-    const std::size_t n = problem.b.cols();
-    ctx.col_unions = tile_unions(ctx.col_groups, ctx.unobs_rows, m);
+    ctx.col_unions = tile_unions(ctx.unobs_rows, m);
     if (options_.use_constraint2 && (w.w2 > 0.0 || w.w3 > 0.0)) {
-      // The curvature scalars come from c2_curvature — the same helper the
-      // mask-group signature encodes.
       constexpr std::size_t lw = linalg::kernels::kSpdLanes;
-      const std::size_t tiles = (ctx.col_groups.size() + lw - 1) / lw;
-      ctx.col_curvature.assign(tiles * 2 * lw, 0.0);
-      for (std::size_t g = 0; g < ctx.col_groups.size(); ++g) {
-        const auto [w2c, w3c] =
-            c2_curvature(w, ctx.col_groups[g].members.front());
-        double* tile = ctx.col_curvature.data() + (g / lw) * 2 * lw;
-        tile[g % lw] = w2c;
-        tile[lw + g % lw] = w3c;
+      ctx.col_curvature.assign((n + lw - 1) / lw * 2 * lw, 0.0);
+      for (std::size_t j = 0; j < n; ++j) {
+        const auto [w2c, w3c] = c2_curvature(w, j);
+        double* tile = ctx.col_curvature.data() + (j / lw) * 2 * lw;
+        tile[j % lw] = w2c;
+        tile[lw + j % lw] = w3c;
       }
     }
     const bool c1 = w.w1 > 0.0;
@@ -923,12 +756,6 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   }
 
   RsvdResult out;
-  for (const MaskGroup& grp : ctx.col_groups) {
-    if (grp.members.size() >= 2) {
-      ++out.mask_groups;
-      out.grouped_columns += grp.members.size();
-    }
-  }
   out.objective_history.reserve(options_.max_iters);
   double best_v = std::numeric_limits<double>::infinity();
   const double data_scale =

@@ -116,48 +116,6 @@ void solve_factored_spd(const Matrix& r, std::span<double> bx) {
   }
 }
 
-void solve_factored_spd_multi(const Matrix& r, Matrix& panel,
-                              std::span<double> dot_scratch) {
-  const std::size_t n = r.rows();
-  const std::size_t k = panel.cols();
-  if (panel.rows() != n) {
-    throw std::invalid_argument("solve_factored_spd_multi: panel rows");
-  }
-  if (dot_scratch.size() < k) {
-    throw std::invalid_argument("solve_factored_spd_multi: scratch size");
-  }
-  if (k == 0) return;
-  double* p = panel.data().data();
-  // R^T y = b across the panel: once row j of y is known, its contribution
-  // streams into every remaining panel row.  Per column this performs the
-  // same ops as the single-RHS loop — b[i] += (-y_j) * r(j, i) there,
-  // b[i][c] += (-r(j, i)) * y[j][c] here; mul and fma commute bitwise in
-  // their factor operands, and the level's axpy evaluates every element
-  // with the identical (position-independent) arithmetic.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double* row_j = r.row_span(j).data();
-    double* y_j = p + j * k;
-    const double rjj = row_j[j];
-    for (std::size_t c = 0; c < k; ++c) y_j[c] /= rjj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      kernels::axpy(-row_j[i], y_j, p + i * k, k);
-    }
-  }
-  // R x = y: per output row one panel-wide suffix reduction; dot_panel
-  // replays the active level's dot() tree per column, so the subtraction
-  // and division below complete the exact single-RHS op sequence.
-  for (std::size_t i = n; i-- > 0;) {
-    const double* row_i = r.row_span(i).data();
-    kernels::dot_panel(row_i + i + 1, p + (i + 1) * k, k, n - i - 1, k,
-                       dot_scratch.data());
-    double* x_i = p + i * k;
-    const double rii = row_i[i];
-    for (std::size_t c = 0; c < k; ++c) {
-      x_i[c] = (x_i[c] - dot_scratch[c]) / rii;
-    }
-  }
-}
-
 void solve_spd_into(Matrix& a, std::span<double> bx,
                     std::span<double> diag_scratch) {
   const std::size_t n = a.rows();

@@ -10,7 +10,7 @@
 // Every failure/recovery/fallback is counted in SpdStats so a sweep that
 // quietly degrades to the 4x-slower path is visible in diagnostics.
 //
-// factor_spd, the solve_factored_spd pair and solve_spd_into are the
+// factor_spd, solve_factored_spd and solve_spd_into are the
 // allocation-free hot-path kernels: they factor and solve entirely inside
 // caller-owned storage.
 #pragma once
@@ -40,26 +40,13 @@ bool factor_spd(Matrix& a, std::span<double> diag_scratch);
 /// entry `bx` holds b, on exit the solution.
 void solve_factored_spd(const Matrix& r, std::span<double> bx);
 
-/// Multi-RHS variant of solve_factored_spd: `panel` is a row-major n x k
-/// block whose COLUMNS are the k right-hand sides (panel(i, c) = b_c[i] on
-/// entry, x_c[i] on exit), `dot_scratch` caller-owned scratch of length >=
-/// k.  Guarantee: every column of the result is bit-identical to running
-/// solve_factored_spd(r, that column) on its own — the forward elimination
-/// streams the same per-element fused ops across the panel rows (IEEE
-/// multiplication/FMA commute bitwise in their factor operands), and the
-/// back substitution reduces each column through kernels::dot_panel, which
-/// replays the active level's dot() reduction tree per column.  The
-/// mask-grouped sweep (core/self_augmented.cpp) solves a group through it
-/// when the group's lane factorisation failed and factor_spd's bump ladder
-/// rescued the shared Q.
-void solve_factored_spd_multi(const Matrix& r, Matrix& panel,
-                              std::span<double> dot_scratch);
-
 /// Solve a x = b for SPD a.  Retries with a diagonal bump, then falls back
 /// to LU, so callers never have to branch on definiteness themselves.
 std::vector<double> solve_spd(const Matrix& a, std::span<const double> b);
 
-/// Allocation-free SPD solve for the sweep hot loop.  `a` is destroyed
+/// Allocation-free SPD solve: the per-system path of the Algorithm-1
+/// sweep, which replays through it every lane whose batched factorisation
+/// (kernels::spd_factor_lanes) failed.  `a` is destroyed
 /// (it ends up holding a Cholesky factor or retry scratch); on entry `bx`
 /// holds b and on exit the solution.  `diag_scratch` must have length
 /// a.rows() — it preserves the original diagonal across retries.
