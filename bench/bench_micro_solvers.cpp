@@ -487,8 +487,11 @@ void BM_CommitUpdate(benchmark::State& state) {
   std::size_t sweeps = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    engine.drop_site("office");
-    eval::register_run(engine, run, "office");
+    if (!engine.drop_site("office").ok() ||
+        !eval::register_run(engine, run, "office").ok()) {
+      state.SkipWithError("re-registration failed");
+      return;
+    }
     const bool warmed = engine.update(warm_up).ok();
     state.ResumeTiming();
     const auto committed = engine.update(request);

@@ -445,7 +445,8 @@ TEST(LaneSweep, ForcedCholeskyFailuresReplayThePerSystemPath) {
   // factorisation fails in every sweep and replays through
   // solve_spd_into's bump and LU ladder.  At rank 3 those columns are the
   // only failures, though a 3 x 3 noise Q is positive definite by chance
-  // in some sweeps; at rank = links every Q is rank-deficient, most
+  // in some sweeps (for every blank column at once: their Q are
+  // bit-identical); at rank = links every Q is rank-deficient, most
   // systems also fail and recover through the diagonal bump, and every
   // blank column, and no other system, reaches LU in every sweep.  Layout
   // {8, 12} fills every tile at 1, 4 and 8 lanes (96 columns, 8 rows);
@@ -493,11 +494,15 @@ TEST(LaneSweep, ForcedCholeskyFailuresReplayThePerSystemPath) {
       const linalg::SpdStats stats = linalg::spd_stats();
       // Every failing system ends in exactly one bump recovery or one LU
       // fallback, and only the blank columns reach LU, at most once per
-      // sweep each.
+      // sweep each.  Every blank column's Q is the same seed minus all m
+      // rows' outer products in the same order, so in each sweep the
+      // blank columns fail or pass together, and a failed lane the replay
+      // skips leaves the LU count off a multiple of their number.
       const std::size_t blank_solves = c.blank_cols.size() * result.iterations;
       EXPECT_EQ(stats.cholesky_failures,
                 stats.bump_recoveries + stats.lu_fallbacks);
       EXPECT_GT(stats.lu_fallbacks, 0u);
+      EXPECT_EQ(stats.lu_fallbacks % c.blank_cols.size(), 0u);
       if (rank == 3) {
         EXPECT_LE(stats.lu_fallbacks, blank_solves);
         EXPECT_EQ(stats.bump_recoveries, 0u);
