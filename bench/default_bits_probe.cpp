@@ -13,7 +13,10 @@
 // Constraint 1 off, mask grouping off on revisions that still have it
 // (elsewhere the default), rank 20 from a random start (factor width
 // above 16), and the fixed max_iters trajectory without the convergence
-// stop (converge_db = 0), which keeps the sweep's own bits pinned.
+// stop (converge_db = 0), which keeps the sweep's own bits pinned.  A
+// last default-config Engine serves the office with 3 cells added to its
+// 8 MIC cells through set_reference_cells: an LRR dictionary of width 11,
+// above the link count and every lane tile width.
 // Every site is updated at every paper stamp; per stamp and site the
 // probe prints the committed version, FNV-1a hashes of the committed
 // x_hat and Z, and a hash over the localize (cell, score) of one online
@@ -81,11 +84,37 @@ struct Site {
   const eval::EnvironmentRun* run;
   std::vector<SourceInfo> sources;  // empty = legacy registration
   Fnv1a combined;
+  // Cells that set_reference_cells adds to the registered reference set
+  // before the first stamp (none = keep the MIC cells).
+  std::vector<std::size_t> extra_refs;
 };
 
 bool fail(const std::string& what, const api::Status& status) {
   std::fprintf(stderr, "%s: %s\n", what.c_str(), status.to_string().c_str());
   return false;
+}
+
+/// Commits the registered reference set plus site.extra_refs (a cold
+/// LRR solve) and prints the committed version and Z hash.
+bool widen_references(api::Engine& engine, Site& site) {
+  std::vector<CellId> cells = engine.reference_cells(site.name).value();
+  for (const std::size_t extra : site.extra_refs) {
+    if (std::find(cells.begin(), cells.end(), CellId(extra)) != cells.end()) {
+      std::fprintf(stderr, "%s: cell %zu is already a reference cell\n",
+                   site.name.c_str(), extra);
+      return false;
+    }
+    cells.push_back(CellId(extra));
+  }
+  const api::Status status = engine.set_reference_cells(site.name, cells);
+  if (!status.ok()) return fail(site.name + " set_reference_cells", status);
+  const api::SnapshotPtr snap = engine.snapshot(site.name).value();
+  const unsigned long long z_hash = hash_of(snap->correlation());
+  std::printf("%-14s refs %2zu  v%llu  z %016llx\n", site.name.c_str(),
+              cells.size(), static_cast<unsigned long long>(snap->version()),
+              z_hash);
+  site.combined.add(static_cast<std::uint64_t>(z_hash));
+  return true;
 }
 
 bool probe_stamp(api::Engine& engine, Site& site, std::size_t day) {
@@ -361,8 +390,14 @@ int main() {
     if constexpr (requires { o.converge_db; }) o.converge_db = 0.0;
   });
 
+  // Three fixed cells beside the office's 8 MIC cells: an LRR dictionary
+  // of width 11, wider than the 8 links and than any lane tile, solved
+  // cold by set_reference_cells and warm by every update after it.
+  probes.push_back({std::make_unique<api::Engine>(),
+                    {{"office-refs11", &office, {}, {}, {8, 47, 85}}}});
+
   for (Probe& probe : probes) {
-    for (const Site& site : probe.sites) {
+    for (Site& site : probe.sites) {
       const auto registered = probe.engine->register_site(
           site.name, site.run->ground_truth.at_day(0), site.run->b_mask,
           site.sources);
@@ -374,6 +409,9 @@ int main() {
           site.name, &site.run->testbed.deployment());
       if (!attached.ok()) {
         fail(site.name + " attach", attached);
+        return 1;
+      }
+      if (!site.extra_refs.empty() && !widen_references(*probe.engine, site)) {
         return 1;
       }
     }

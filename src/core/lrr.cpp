@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
+#include "linalg/kernels/kernels.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/svd.hpp"
-#include "linalg/vec.hpp"
 
 namespace iup::core {
 
@@ -15,19 +16,19 @@ namespace {
 
 // Per-call scratch of solve_lrr.  The ADMM state is stored TRANSPOSED:
 // a grid column of X / Z / E / Y1 / Y2 is a contiguous row here, so the
-// per-column Z back-substitution, the E shrinkage and the (A Z)^T product
-// all run on contiguous memory.  Everything is allocated once below; the
-// iterations themselves never touch the heap.
+// E shrinkage and the multiplier pass run on contiguous memory.  The
+// Z-update runs in lane tiles of kSpdLanes consecutive grid columns,
+// staged through the lane-interleaved panels below.  Everything is
+// allocated once below; the iterations themselves never touch the heap.
 struct LrrWorkspace {
   linalg::Matrix xt;    ///< N x M : X^T
   linalg::Matrix at;    ///< n x M : A^T (rows contiguous for the rhs dots)
   linalg::Matrix lfac;  ///< n x n : Cholesky factor of I + A^T A
-  linalg::Matrix zt;    ///< N x n : Z^T (also holds the rhs pre-solve)
+  linalg::Matrix zt;    ///< N x n : Z^T
   linalg::Matrix jt;    ///< N x n : J^T
   linalg::Matrix y2t;   ///< N x n : Y2^T
   linalg::Matrix et;    ///< N x M : E^T
   linalg::Matrix y1t;   ///< N x M : Y1^T
-  linalg::Matrix dt;    ///< N x M : (X - E)^T rhs scratch
   linalg::Matrix azt;   ///< N x M : (A Z)^T, shared by E-update and residual
   linalg::Matrix jin;   ///< N x n : (Z + Y2/mu)^T, the SVT input
   linalg::Matrix gmat;  ///< n x n : jin^T jin, eigendecomposed in place
@@ -35,6 +36,13 @@ struct LrrWorkspace {
   linalg::Matrix smat;  ///< n x n : V diag(f(sigma)/sigma) V^T
   std::vector<double> scale;  ///< n : per-mode SVT shrink factors
   std::vector<double> diag;   ///< n : factor_spd retry scratch
+  // One lane tile of grid columns (element k of lane l at [k * W + l]).
+  std::vector<double> tile;    ///< n x n x W : lfac in every lane
+  std::vector<double> dpanel;  ///< M x W : X - E
+  std::vector<double> ypanel;  ///< M x W : Y1
+  std::vector<double> rhs;     ///< n x W : A^T (X - E) dots, then rhs, then Z
+  std::vector<double> yrhs;    ///< n x W : A^T Y1 dots
+  std::vector<double> azpanel; ///< M x W : A Z
 };
 
 // Jt = SVT(Jin) at level tau, computed through the small side: with
@@ -115,9 +123,19 @@ LrrResult solve_lrr(const linalg::Matrix& a, const linalg::Matrix& x,
     ws.y1t.resize(big_n, m);
   }
   ws.et.resize(big_n, m);
-  ws.dt.resize(big_n, m);
   ws.azt.resize(big_n, m);
   ws.jin.resize(big_n, n);
+
+  // Every lane of the Z-update tile solves against the same factor.
+  constexpr std::size_t w = linalg::kernels::kSpdLanes;
+  ws.tile.resize(n * n * w);
+  linalg::kernels::tile_seed(ws.tile.data(), n, ws.lfac.data().data(),
+                             (1u << w) - 1u);
+  ws.dpanel.resize(m * w);
+  ws.ypanel.resize(m * w);
+  ws.rhs.resize(n * w);
+  ws.yrhs.resize(n * w);
+  ws.azpanel.resize(m * w);
 
   const double x_norm = std::max(linalg::frobenius_norm(x), 1e-12);
   double mu = options.mu;
@@ -147,44 +165,69 @@ LrrResult solve_lrr(const linalg::Matrix& a, const linalg::Matrix& x,
     }
     svt_via_gram(ws, inv_mu);
 
-    // Z-update, (A Z)^T product and E-update in one pass over the N grid
-    // columns (rows of the transposed state).
+    // Z-update, (A Z)^T product and E-update, one lane tile of W grid
+    // columns (rows of the transposed state) at a time.  Every dot is a
+    // dot_panel column and every solve a lane of spd_solve_lanes, so each
+    // column gets exactly the bits of the one-column dot / back-substitution
+    // loop.  Lanes past the last column of a partial tile compute garbage
+    // that is never scattered back.
     const double tau = options.epsilon * inv_mu;
-    for (std::size_t r = 0; r < big_n; ++r) {
-      const auto xrow = ws.xt.row_span(r);
-      const auto y1row = ws.y1t.row_span(r);
-      const auto y2row = ws.y2t.row_span(r);
-      const auto jrow = ws.jt.row_span(r);
-      const auto d = ws.dt.row_span(r);
-      const auto erow = ws.et.row_span(r);
-      for (std::size_t i = 0; i < m; ++i) d[i] = xrow[i] - erow[i];
+    for (std::size_t r0 = 0; r0 < big_n; r0 += w) {
+      const std::size_t cols = std::min(w, big_n - r0);
+      for (std::size_t c = 0; c < cols; ++c) {
+        const auto xrow = ws.xt.row_span(r0 + c);
+        const auto erow = ws.et.row_span(r0 + c);
+        const auto y1row = ws.y1t.row_span(r0 + c);
+        for (std::size_t i = 0; i < m; ++i) {
+          ws.dpanel[i * w + c] = xrow[i] - erow[i];
+          ws.ypanel[i * w + c] = y1row[i];
+        }
+      }
 
-      // (I + A^T A) z = A^T (X - E) + J + (A^T Y1 - Y2)/mu, built
-      // directly in the output row and solved there.
-      const auto zrow = ws.zt.row_span(r);
+      // (I + A^T A) z = A^T (X - E) + J + (A^T Y1 - Y2)/mu per lane.
       for (std::size_t jj = 0; jj < n; ++jj) {
-        const auto arow = ws.at.row_span(jj);
-        zrow[jj] = linalg::dot(arow, d) + jrow[jj] +
-                   (linalg::dot(arow, y1row) - y2row[jj]) * inv_mu;
+        const double* arow = ws.at.row_span(jj).data();
+        linalg::kernels::dot_panel(arow, ws.dpanel.data(), w, m, w,
+                                   ws.rhs.data() + jj * w);
+        linalg::kernels::dot_panel(arow, ws.ypanel.data(), w, m, w,
+                                   ws.yrhs.data() + jj * w);
       }
-      linalg::solve_factored_spd(ws.lfac, zrow);
+      for (std::size_t c = 0; c < cols; ++c) {
+        const auto jrow = ws.jt.row_span(r0 + c);
+        const auto y2row = ws.y2t.row_span(r0 + c);
+        for (std::size_t jj = 0; jj < n; ++jj) {
+          double& b = ws.rhs[jj * w + c];
+          b = b + jrow[jj] + (ws.yrhs[jj * w + c] - y2row[jj]) * inv_mu;
+        }
+      }
+      linalg::kernels::spd_solve_lanes(ws.tile.data(), ws.rhs.data(), n);
+      for (std::size_t i = 0; i < m; ++i) {
+        linalg::kernels::dot_panel(a.row_span(i).data(), ws.rhs.data(), w, n,
+                                   w, ws.azpanel.data() + i * w);
+      }
 
-      const auto azrow = ws.azt.row_span(r);
-      for (std::size_t i = 0; i < m; ++i) {
-        azrow[i] = linalg::dot(a.row_span(i), zrow);
-      }
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t r = r0 + c;
+        const auto zrow = ws.zt.row_span(r);
+        for (std::size_t jj = 0; jj < n; ++jj) zrow[jj] = ws.rhs[jj * w + c];
+        const auto azrow = ws.azt.row_span(r);
+        for (std::size_t i = 0; i < m; ++i) azrow[i] = ws.azpanel[i * w + c];
 
-      // E-update: l2,1 shrinkage of q = X - A Z + Y1/mu, column-wise.
-      double col_norm = 0.0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const double q = xrow[i] - azrow[i] + y1row[i] * inv_mu;
-        col_norm += q * q;
-      }
-      col_norm = std::sqrt(col_norm);
-      const double shrink =
-          col_norm > tau ? (col_norm - tau) / col_norm : 0.0;
-      for (std::size_t i = 0; i < m; ++i) {
-        erow[i] = shrink * (xrow[i] - azrow[i] + y1row[i] * inv_mu);
+        // E-update: l2,1 shrinkage of q = X - A Z + Y1/mu, column-wise.
+        const auto xrow = ws.xt.row_span(r);
+        const auto y1row = ws.y1t.row_span(r);
+        const auto erow = ws.et.row_span(r);
+        double col_norm = 0.0;
+        for (std::size_t i = 0; i < m; ++i) {
+          const double q = xrow[i] - azrow[i] + y1row[i] * inv_mu;
+          col_norm += q * q;
+        }
+        col_norm = std::sqrt(col_norm);
+        const double shrink =
+            col_norm > tau ? (col_norm - tau) / col_norm : 0.0;
+        for (std::size_t i = 0; i < m; ++i) {
+          erow[i] = shrink * (xrow[i] - azrow[i] + y1row[i] * inv_mu);
+        }
       }
     }
 

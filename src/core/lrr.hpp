@@ -13,8 +13,16 @@
 // contiguous rows), the fixed normal matrix I + A^T A is factored exactly
 // once per call (back-substitution only per iteration), the J-update's
 // singular-value thresholding runs through the n x n Gram eigenproblem
-// instead of an SVD of the tall iterate.  Steady-state iterations perform
-// zero heap allocations.
+// instead of an SVD of the tall iterate.  The Z-update runs in lane tiles
+// of kernels::kSpdLanes consecutive grid columns: the right-hand sides
+// and A Z come from kernels::dot_panel passes and one
+// kernels::spd_solve_lanes call solves the tile against the factor held
+// in every lane, each column bit-identical to the one-column dot and
+// solve_factored_spd loop (tests/core_mic_lrr_test.cpp pins it).  On a
+// 4-vCPU AVX-512 host at -march=native that took about half off the
+// office (8 x 96) warm refresh and a third to a half off its cold solve
+// (BM_LrrCorrelationWarm, BM_LrrCorrelation).  Steady-state iterations
+// perform zero heap allocations.
 #pragma once
 
 #include <cstddef>
