@@ -1,6 +1,7 @@
 #include "persist/checkpoint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -16,6 +17,26 @@ namespace {
 // zero counts; a site section is at least its u64 length + u32 CRC frame.
 constexpr std::size_t kMinSnapshotBytes = 4 + 8 + 8 + 3 * 16 + 8 + 8 + 4 + 4;
 constexpr std::size_t kSectionFrameBytes = 8 + 4;
+
+api::Status undecodable(const char* what) {
+  return api::Status::data_loss(std::string(what) +
+                                " bytes are truncated or implausible");
+}
+
+/// kDataLoss naming the site and `what` when `values` hold a NaN or an
+/// infinity.  An engine commits and caches only finite state, so such
+/// values were damaged or crafted before their CRC was taken: serving them
+/// breaks the finite-database promise, and a warm start from them fails
+/// every later update of the site.
+api::Status require_finite(std::span<const double> values,
+                           const std::string& site, const std::string& what) {
+  std::size_t count = 0;
+  for (const double v : values) count += std::isfinite(v) ? 0 : 1;
+  if (count == 0) return {};
+  return api::Status::data_loss("site '" + site + "': " + what + " holds " +
+                                std::to_string(count) +
+                                " non-finite entries; refusing to restore it");
+}
 
 void put_health(ByteWriter& writer, const serve::HealthValues& h) {
   writer.put_u32(static_cast<std::uint32_t>(h.state));
@@ -43,22 +64,27 @@ void put_site(ByteWriter& writer, const SiteImage& site) {
   put_health(writer, site.health);
 }
 
-bool get_site(ByteReader& reader, SiteImage& site) {
+api::Status get_site(ByteReader& reader, SiteImage& site) {
   std::uint32_t chain_size = 0;
   if (!reader.get_string(site.site) ||
       !reader.get_u64(site.serving_version) ||
       !reader.get_count(chain_size, kMinSnapshotBytes)) {
-    return false;
+    return undecodable("site header");
   }
   site.chain.clear();
   site.chain.reserve(chain_size);
   for (std::uint32_t k = 0; k < chain_size; ++k) {
     api::SnapshotPtr snapshot;
-    if (!get_snapshot(reader, snapshot)) return false;
+    if (api::Status s = get_snapshot(reader, snapshot); !s.ok()) return s;
     site.chain.push_back(std::move(snapshot));
   }
-  return get_warm(reader, site.warm) && get_health(reader, site.health) &&
-         reader.exhausted();
+  if (api::Status s = get_warm(reader, site.site, site.warm); !s.ok()) {
+    return s;
+  }
+  if (!get_health(reader, site.health) || !reader.exhausted()) {
+    return undecodable("health counter");
+  }
+  return {};
 }
 
 }  // namespace
@@ -81,7 +107,7 @@ void put_snapshot(ByteWriter& writer, const api::FingerprintSnapshot& s) {
   }
 }
 
-bool get_snapshot(ByteReader& reader, api::SnapshotPtr& out) {
+api::Status get_snapshot(ByteReader& reader, api::SnapshotPtr& out) {
   std::string site;
   std::uint64_t version = 0;
   std::uint64_t day = 0;
@@ -94,34 +120,47 @@ bool get_snapshot(ByteReader& reader, api::SnapshotPtr& out) {
       !reader.get_u64(day) || !reader.get_matrix(database) ||
       !reader.get_matrix(mask) || !reader.get_u64(links) ||
       !reader.get_u64(slots)) {
-    return false;
+    return undecodable("snapshot");
   }
   layout.links = links;
   layout.slots = slots;
   std::uint32_t cell_count = 0;
-  if (!reader.get_count(cell_count, 8)) return false;
+  if (!reader.get_count(cell_count, 8)) return undecodable("snapshot");
   std::vector<std::size_t> cells(cell_count);
   for (std::size_t& cell : cells) {
     std::uint64_t v = 0;
-    if (!reader.get_u64(v)) return false;
+    if (!reader.get_u64(v)) return undecodable("snapshot");
     cell = v;
   }
   linalg::Matrix correlation;
-  if (!reader.get_matrix(correlation)) return false;
+  if (!reader.get_matrix(correlation)) return undecodable("snapshot");
   std::uint32_t source_count = 0;
-  if (!reader.get_count(source_count, 9)) return false;
+  if (!reader.get_count(source_count, 9)) return undecodable("snapshot");
   std::vector<SourceInfo> sources(source_count);
   for (SourceInfo& source : sources) {
     std::uint64_t id = 0;
     std::uint8_t technology = 0;
-    if (!reader.get_u64(id) || !reader.get_u8(technology)) return false;
+    if (!reader.get_u64(id) || !reader.get_u8(technology)) {
+      return undecodable("snapshot");
+    }
     source.id = SourceId(id);
     source.technology = static_cast<Technology>(technology);
+  }
+  const std::string label = "v" + std::to_string(version);
+  if (api::Status s =
+          require_finite(database.data(), site, label + " database");
+      !s.ok()) {
+    return s;
+  }
+  if (api::Status s =
+          require_finite(correlation.data(), site, label + " correlation");
+      !s.ok()) {
+    return s;
   }
   out = std::make_shared<api::FingerprintSnapshot>(
       std::move(site), version, std::move(database), std::move(mask), layout,
       std::move(cells), std::move(correlation), day, std::move(sources));
-  return true;
+  return {};
 }
 
 void put_warm(ByteWriter& writer, const WarmImage& warm) {
@@ -140,27 +179,41 @@ void put_warm(ByteWriter& writer, const WarmImage& warm) {
   }
 }
 
-bool get_warm(ByteReader& reader, WarmImage& out) {
+api::Status get_warm(ByteReader& reader, const std::string& site,
+                     WarmImage& out) {
   std::uint8_t has = 0;
-  if (!reader.get_u8(has)) return false;
+  if (!reader.get_u8(has)) return undecodable("warm cache");
   if (has != 0) {
     auto factor = std::make_shared<linalg::Matrix>();
     if (!reader.get_u64(out.factor_version) || !reader.get_matrix(*factor)) {
-      return false;
+      return undecodable("warm factor");
+    }
+    if (api::Status s = require_finite(factor->data(), site, "warm factor");
+        !s.ok()) {
+      return s;
     }
     out.factor = std::move(factor);
   }
-  if (!reader.get_u8(has)) return false;
+  if (!reader.get_u8(has)) return undecodable("warm cache");
   if (has != 0) {
     auto lrr = std::make_shared<core::LrrWarmStart>();
     if (!reader.get_u64(out.lrr_version) || !reader.get_matrix(lrr->z) ||
         !reader.get_matrix(lrr->y1) || !reader.get_matrix(lrr->y2) ||
         !reader.get_f64(lrr->mu)) {
-      return false;
+      return undecodable("LRR warm state");
+    }
+    for (const auto& [values, what] :
+         {std::pair{lrr->z.data(), "LRR warm z"},
+          std::pair{lrr->y1.data(), "LRR warm y1"},
+          std::pair{lrr->y2.data(), "LRR warm y2"},
+          std::pair{std::span<double>(&lrr->mu, 1), "LRR warm mu"}}) {
+      if (api::Status s = require_finite(values, site, what); !s.ok()) {
+        return s;
+      }
     }
     out.lrr = std::move(lrr);
   }
-  return true;
+  return {};
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const EngineImage& image) {
@@ -237,10 +290,10 @@ api::Status decode_checkpoint(std::span<const std::uint8_t> bytes,
     }
     ByteReader section(payload);
     SiteImage site;
-    if (!get_site(section, site)) {
-      return api::Status::data_loss(
-          "checkpoint: site section " + std::to_string(k) +
-          " passed its CRC but failed to decode (format bug)");
+    if (api::Status s = get_site(section, site); !s.ok()) {
+      return api::Status::data_loss("checkpoint: site section " +
+                                    std::to_string(k) + " passed its CRC: " +
+                                    s.message());
     }
     image.sites.push_back(std::move(site));
     reader.skip(length);  // the payload was decoded through its own reader

@@ -86,12 +86,18 @@ struct EngineImage {
 /// apart).
 void put_snapshot(ByteWriter& writer, const api::FingerprintSnapshot& s);
 void put_warm(ByteWriter& writer, const WarmImage& warm);
-/// Decode counterparts; false on truncated/implausible bytes.
-bool get_snapshot(ByteReader& reader, api::SnapshotPtr& out);
-bool get_warm(ByteReader& reader, WarmImage& out);
+/// Decode counterparts.  kDataLoss on truncated or implausible bytes, and
+/// on a non-finite snapshot database or correlation, warm factor or LRR
+/// warm state (z, y1, y2, mu), naming the site (`site` for the warm image)
+/// and the matrix: an engine never commits such state, and restoring it
+/// would publish it or warm-start every later solve from it.
+api::Status get_snapshot(ByteReader& reader, api::SnapshotPtr& out);
+api::Status get_warm(ByteReader& reader, const std::string& site,
+                     WarmImage& out);
 
 /// Encode/decode a whole checkpoint.  decode validates magic, format
-/// version and every section CRC; on any failure `out` is left untouched.
+/// version, every section CRC and every section's contents (see
+/// get_snapshot); on any failure `out` is left untouched.
 std::vector<std::uint8_t> encode_checkpoint(const EngineImage& image);
 api::Status decode_checkpoint(std::span<const std::uint8_t> bytes,
                               EngineImage& out);

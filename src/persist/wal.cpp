@@ -41,15 +41,23 @@ std::vector<std::uint8_t> encode_wal_record(const WalRecord& record) {
   return payload.bytes();
 }
 
-bool decode_wal_record(std::span<const std::uint8_t> bytes, WalRecord& out) {
+api::Status decode_wal_record(std::span<const std::uint8_t> bytes,
+                              WalRecord& out) {
   ByteReader reader(bytes);
   WalRecord record;
-  if (!get_snapshot(reader, record.snapshot) ||
-      !get_warm(reader, record.warm) || !reader.exhausted()) {
-    return false;
+  if (api::Status s = get_snapshot(reader, record.snapshot); !s.ok()) {
+    return s;
+  }
+  if (api::Status s =
+          get_warm(reader, record.snapshot->site(), record.warm);
+      !s.ok()) {
+    return s;
+  }
+  if (!reader.exhausted()) {
+    return api::Status::data_loss("WAL record has trailing bytes");
   }
   out = std::move(record);
-  return true;
+  return {};
 }
 
 WalWriter::~WalWriter() { close(); }
@@ -140,9 +148,9 @@ api::Status read_wal(const std::string& path, std::vector<WalRecord>& out,
     const std::span<const std::uint8_t> payload =
         std::span<const std::uint8_t>(bytes).subspan(
             bytes.size() - reader.remaining(), length);
+    const std::size_t offset = bytes.size() - reader.remaining() - 16;
     reader.skip(length);
-    WalRecord record;
-    if (crc32(payload) != crc || !decode_wal_record(payload, record)) {
+    if (crc32(payload) != crc) {
       if (reader.exhausted()) {
         // Final record damaged → indistinguishable from a torn append
         // whose payload bytes half-landed; drop it.
@@ -150,8 +158,16 @@ api::Status read_wal(const std::string& path, std::vector<WalRecord>& out,
         break;
       }
       return api::Status::data_loss(
-          "WAL: CRC/decode failure on a non-final record — log is corrupt "
-          "beyond its tail");
+          "WAL: CRC failure on a non-final record — log is corrupt beyond "
+          "its tail");
+    }
+    // A matching CRC means the append landed whole, so a record that does
+    // not decode is no torn tail wherever it sits.
+    WalRecord record;
+    if (api::Status s = decode_wal_record(payload, record); !s.ok()) {
+      return api::Status::data_loss("WAL: record at offset " +
+                                    std::to_string(offset) +
+                                    " passed its CRC: " + s.message());
     }
     records.push_back(std::move(record));
   }

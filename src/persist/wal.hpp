@@ -20,7 +20,9 @@
 // signature of a torn append and are dropped (the in-flight commit is
 // lost, never a published prefix).  A bad magic or CRC mismatch with
 // MORE records after it cannot be a torn tail — that is real corruption,
-// reported as kDataLoss and never served.
+// reported as kDataLoss and never served.  So is a record whose CRC
+// matches but whose payload does not decode, or holds non-finite state
+// (see get_snapshot), wherever it sits: its append landed whole.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +42,11 @@ struct WalRecord {
   WarmImage warm;
 };
 
-/// Encode/decode one record payload (the bytes inside the frame).
+/// Encode/decode one record payload (the bytes inside the frame); decode
+/// fails as get_snapshot / get_warm do, leaving `out` untouched.
 std::vector<std::uint8_t> encode_wal_record(const WalRecord& record);
-bool decode_wal_record(std::span<const std::uint8_t> bytes, WalRecord& out);
+api::Status decode_wal_record(std::span<const std::uint8_t> bytes,
+                              WalRecord& out);
 
 /// Append-only WAL writer over one file.  Not internally synchronised —
 /// the DurabilityManager serialises appends under its own mutex.

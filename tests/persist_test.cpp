@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,35 @@ void flip_byte(const std::string& path, std::size_t offset) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
+/// A copy of `s` at `version`, with entry (0, 0) of the matrix `nan_in`
+/// names ("database" or "correlation"; none when empty) set to NaN.
+api::SnapshotPtr copy_at(const api::FingerprintSnapshot& s,
+                         std::uint64_t version,
+                         const std::string& nan_in = "") {
+  linalg::Matrix database = s.database();
+  linalg::Matrix correlation = s.correlation();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  if (nan_in == "database") database(0, 0) = nan;
+  if (nan_in == "correlation") correlation(0, 0) = nan;
+  return std::make_shared<api::FingerprintSnapshot>(
+      s.site(), version, std::move(database), s.mask(), s.layout(),
+      s.reference_cells(), std::move(correlation), s.day(), s.sources());
+}
+
+/// `warm` with one NaN in its LRR state: entry (0, 0) of z, y1 or y2, or
+/// mu itself.
+WarmImage with_nan_lrr(const WarmImage& warm, const std::string& field) {
+  auto lrr = std::make_shared<core::LrrWarmStart>(*warm.lrr);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  if (field == "z") lrr->z(0, 0) = nan;
+  if (field == "y1") lrr->y1(0, 0) = nan;
+  if (field == "y2") lrr->y2(0, 0) = nan;
+  if (field == "mu") lrr->mu = nan;
+  WarmImage out = warm;
+  out.lrr = std::move(lrr);
+  return out;
+}
+
 // --- byte plumbing ----------------------------------------------------
 
 TEST(PersistIo, Crc32MatchesTheIeeeReferenceVector) {
@@ -190,7 +220,7 @@ TEST(PersistIo, SnapshotCodecRoundTripsTheMultiRadioTable) {
   put_snapshot(writer, snapshot);
   ByteReader reader(writer.span());
   api::SnapshotPtr out;
-  ASSERT_TRUE(get_snapshot(reader, out) && reader.exhausted());
+  ASSERT_TRUE(get_snapshot(reader, out).ok() && reader.exhausted());
   EXPECT_EQ(out->site(), "lab");
   EXPECT_EQ(out->version(), 7u);
   EXPECT_EQ(out->day(), 42u);
@@ -221,7 +251,7 @@ TEST(PersistIo, SnapshotCodecRoundTripsTheMultiRadioTable) {
     std::vector<std::uint8_t> patched = wal;
     std::fill_n(patched.begin() + at, 4, std::uint8_t{0xFF});
     WalRecord record;
-    EXPECT_FALSE(decode_wal_record(patched, record)) << "offset " << at;
+    EXPECT_FALSE(decode_wal_record(patched, record).ok()) << "offset " << at;
   }
 }
 
@@ -347,7 +377,7 @@ TEST(PersistWireFormat, CheckpointAndWalBytesArePinned) {
   EXPECT_TRUE(site.health == expected.health);
 
   WalRecord replayed;
-  ASSERT_TRUE(decode_wal_record(wal, replayed));
+  ASSERT_TRUE(decode_wal_record(wal, replayed).ok());
   expect_snapshots_equal(*replayed.snapshot, *record.snapshot);
   expect_warm_equal(replayed.warm, record.warm);
 }
@@ -478,6 +508,55 @@ TEST(PersistCheckpoint, DifferentFormatVersionIsFailedPrecondition) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(PersistCheckpoint, NonFiniteStateIsDataLossAndNothingIsServed) {
+  // Checkpoints written through the codec, so every CRC is valid, with one
+  // NaN in the state they carry.  Restoring must refuse each with
+  // kDataLoss naming the site and the matrix before anything is
+  // published: a NaN database would be served, and a NaN warm LRR state
+  // would fail every later refresh of the site.
+  const auto& run = iup::test::office_run();
+  TempDir source;
+  Engine engine = office_engine(run);
+  run_updates(engine, run, {15, 45});  // chain v1..v3
+  ASSERT_TRUE(engine.save_checkpoint(source.path).ok());
+  EngineImage pristine;
+  ASSERT_TRUE(load_checkpoint_file(source.path, pristine).ok());
+  ASSERT_EQ(pristine.sites.size(), 1u);
+  ASSERT_EQ(pristine.sites[0].chain.size(), 3u);
+  ASSERT_NE(pristine.sites[0].warm.factor, nullptr);
+  ASSERT_NE(pristine.sites[0].warm.lrr, nullptr);
+
+  for (const std::string what :
+       {"v3 database", "v1 correlation", "warm factor", "LRR warm z",
+        "LRR warm y1", "LRR warm y2", "LRR warm mu"}) {
+    SCOPED_TRACE(what);
+    EngineImage image = pristine;
+    SiteImage& site = image.sites[0];
+    if (what == "v3 database") {
+      site.chain[2] = copy_at(*site.chain[2], 3, "database");
+    } else if (what == "v1 correlation") {
+      site.chain[0] = copy_at(*site.chain[0], 1, "correlation");
+    } else if (what == "warm factor") {
+      linalg::Matrix factor = *site.warm.factor;
+      factor(0, 0) = std::numeric_limits<double>::infinity();
+      site.warm.factor = std::make_shared<const linalg::Matrix>(factor);
+    } else {
+      site.warm = with_nan_lrr(site.warm, what.substr(what.rfind(' ') + 1));
+    }
+    TempDir dir;
+    ASSERT_TRUE(save_checkpoint_file(dir.path, image, false).ok());
+    Engine fresh;
+    const api::Status status = fresh.restore_from(dir.path);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.to_string();
+    EXPECT_NE(status.message().find("'office'"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find(what), std::string::npos)
+        << status.message();
+    EXPECT_TRUE(fresh.store().sites().empty());
+    EXPECT_FALSE(fresh.published("office").ok());
+  }
+}
+
 // --- WAL semantics ----------------------------------------------------
 
 /// Durability manager over a fresh engine: hooks composed BEFORE the
@@ -562,6 +641,46 @@ TEST(PersistWal, FlippedBitInTheFinalRecordIsATornTail) {
   Engine restored;
   ASSERT_TRUE(restored.restore_from(dir.path).ok());
   EXPECT_EQ(restored.store().latest("office").value()->version(), 1u);
+}
+
+TEST(PersistWal, NonFiniteRecordIsDataLossEvenAsTheFinalRecord) {
+  // A whole next-version record with a valid CRC at the end of the log:
+  // a NaN in it is neither a torn tail to drop nor state to replay.
+  const auto& run = iup::test::office_run();
+  for (const std::string what : {"v3 database", "LRR warm z"}) {
+    SCOPED_TRACE(what);
+    TempDir dir;
+    {
+      DurableOffice durable(dir.path, 0);
+      ASSERT_TRUE(durable.manager.bind(&durable.engine).ok());
+      ASSERT_TRUE(eval::register_run(durable.engine, run, "office").ok());
+      run_updates(durable.engine, run, {15});
+    }
+    const std::string path = dir.path + "/" + kWalFile;
+    std::vector<WalRecord> records;
+    ASSERT_TRUE(read_wal(path, records).ok());
+    ASSERT_EQ(records.size(), 2u);
+    const WalRecord& last = records.back();
+    ASSERT_NE(last.warm.lrr, nullptr);
+    const bool in_database = what == "v3 database";
+    const WalRecord crafted{
+        copy_at(*last.snapshot, 3, in_database ? "database" : ""),
+        in_database ? last.warm : with_nan_lrr(last.warm, "z")};
+    {
+      WalWriter writer;
+      ASSERT_TRUE(writer.open(path, /*truncate=*/false).ok());
+      ASSERT_TRUE(writer.append(crafted, /*do_fsync=*/false).ok());
+    }
+
+    Engine restored;
+    const api::Status status = restored.restore_from(dir.path);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.to_string();
+    EXPECT_NE(status.message().find("'office'"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find(what), std::string::npos)
+        << status.message();
+    EXPECT_TRUE(restored.store().sites().empty());
+  }
 }
 
 // --- DurabilityManager lifecycle --------------------------------------
