@@ -137,7 +137,11 @@ class Result {
     ensure_ok();
     return *value_;
   }
-  T&& value() && {
+  /// On a temporary the value is moved out and returned by value, so
+  /// `for (auto c : engine.reference_cells(site).value())` iterates a
+  /// vector that lives as long as the loop, not one inside the destroyed
+  /// Result.
+  T value() && {
     ensure_ok();
     return std::move(*value_);
   }
@@ -145,6 +149,7 @@ class Result {
   T value_or(T fallback) const& { return ok() ? *value_ : std::move(fallback); }
 
   const T& operator*() const& { return value(); }
+  T operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
 
  private:

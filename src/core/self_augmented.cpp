@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "core/constraints.hpp"
@@ -34,10 +35,21 @@
 // factor/solve is bit-identical to the per-system solve.
 namespace iup::core {
 
+/// Index sets in one flat array: set k is idx[start[k] .. start[k + 1]),
+/// ascending.
+struct IndexSets {
+  std::vector<std::size_t> start;  ///< sets + 1 offsets into idx
+  std::vector<std::size_t> idx;
+  std::size_t size() const { return start.size() - 1; }
+  std::span<const std::size_t> operator[](std::size_t k) const {
+    return {idx.data() + start[k], start[k + 1] - start[k]};
+  }
+};
+
 /// Per R-update tile of kSpdLanes consecutive columns: the union of its
 /// lanes' unobserved row sets, ascending, and per row the mask of lanes
-/// whose set holds it — the operands of kernels::tile_rank1_union.  Fixed
-/// for the solve: it depends only on B.
+/// whose set holds it — the downdate operands of
+/// kernels::tile_build_union.  Fixed for the solve: it depends only on B.
 struct TileUnions {
   std::vector<std::size_t> idx;
   std::vector<unsigned> lanes;
@@ -89,8 +101,8 @@ struct SweepContext {
   // of the no-decrease matrix (~80% observed) seeding Q with
   // lambda*I + L^T L and SUBTRACTING the few unobserved outer products
   // replaces ~dense-many rank-1 updates by ~(1-density)-many.
-  std::vector<std::vector<std::size_t>> unobs_rows;  ///< per column j
-  std::vector<std::vector<std::size_t>> unobs_cols;  ///< per row i
+  IndexSets unobs_rows;  ///< per column j
+  IndexSets unobs_cols;  ///< per row i
   TileUnions col_unions;
   // R-update Constraint 2, per tile: the lanes' curvature weights w2c then
   // w3c (two lane vectors, idle lanes zero), fixed for the solve.
@@ -109,7 +121,9 @@ struct SweepContext {
   // Objective scratch.
   linalg::Matrix rt;  ///< R^T, the dot_panel operand of X_hat = L R^T
   linalg::Matrix x_hat;
-  linalg::Matrix x_hat_prev;  ///< the previous sweep's x_hat (swapped in)
+  /// The previous sweep's x_hat (swapped in), zero before the first: also
+  /// the R-update's X_D source.
+  linalg::Matrix x_hat_prev;
   linalg::Matrix xd_obj;
   linalg::Matrix xdg_obj;
   linalg::Matrix hxd_obj;
@@ -146,12 +160,45 @@ unsigned active_lanes(std::size_t lanes) {
   return static_cast<unsigned>((std::uint64_t{1} << lanes) - 1u);
 }
 
+/// The unobserved (mask == 0) index sets of b, per column and per row: one
+/// counting pass and one fill pass.
+void unobserved_sets(const linalg::Matrix& b, IndexSets& per_col,
+                     IndexSets& per_row) {
+  const std::size_t m = b.rows();
+  const std::size_t n = b.cols();
+  per_col.start.assign(n + 1, 0);
+  per_row.start.assign(m + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (b(i, j) == 0.0) ++per_col.start[j + 1];
+    }
+  }
+  for (std::size_t j = 0; j < n; ++j) per_col.start[j + 1] += per_col.start[j];
+  per_col.idx.resize(per_col.start[n]);
+  per_row.idx.resize(per_col.start[n]);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (b(i, j) != 0.0) continue;
+      per_col.idx[per_col.start[j]++] = i;
+      per_row.idx[next++] = j;
+    }
+    per_row.start[i + 1] = next;
+  }
+  // The fill advanced each column's start to its end: shift them back.
+  std::copy_backward(per_col.start.begin(), per_col.start.end() - 1,
+                     per_col.start.end());
+  per_col.start[0] = 0;
+}
+
 /// The TileUnions of the index sets `unobs` (drawn from [0, universe)),
 /// kSpdLanes consecutive sets per tile.
-TileUnions tile_unions(const std::vector<std::vector<std::size_t>>& unobs,
-                       std::size_t universe) {
+TileUnions tile_unions(const IndexSets& unobs, std::size_t universe) {
   constexpr std::size_t w = linalg::kernels::kSpdLanes;
   TileUnions out;
+  out.idx.reserve(unobs.idx.size());
+  out.lanes.reserve(unobs.idx.size());
+  out.start.reserve(unobs.size() / w + 2);
   std::vector<unsigned> bits(universe);
   for (std::size_t j0 = 0; j0 < unobs.size(); j0 += w) {
     out.start.push_back(out.idx.size());
@@ -396,7 +443,6 @@ double SelfAugmentedRsvd::objective(const RsvdProblem& problem,
 
 void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
                                  const linalg::Matrix& l,
-                                 const linalg::Matrix& r_prev,
                                  SweepContext& ctx) const {
   constexpr std::size_t lw = linalg::kernels::kSpdLanes;
   const std::size_t m = l.rows();
@@ -412,13 +458,16 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
   for (std::size_t a = 0; a < rr; ++a) ctx.lql(a, a) += options_.lambda;
 
   // Current largely-decrease estimate (from the previous R) for the
-  // Gauss-Seidel cross terms of Constraint 2.
+  // Gauss-Seidel cross terms of Constraint 2: dot(l_i, r_prev of cell
+  // (i, u)), which the previous sweep's objective already built, bit for
+  // bit, as x_hat(i, cell(i, u)) (dot_panel's contract).  In the first
+  // sweep R starts at zero, so every such dot is +0, as is the zero-filled
+  // x_hat_prev.
   if (c2) {
     ctx.xd_cur.resize(layout_.links, layout_.slots);
     for (std::size_t i = 0; i < layout_.links; ++i) {
       for (std::size_t u = 0; u < layout_.slots; ++u) {
-        ctx.xd_cur(i, u) =
-            linalg::dot(l.row_span(i), r_prev.row_span(layout_.cell(i, u)));
+        ctx.xd_cur(i, u) = ctx.x_hat_prev(i, layout_.cell(i, u));
       }
     }
     if (gauss_seidel && w.w2 > 0.0) {
@@ -430,9 +479,8 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
   // the Constraint-1 terms over the rows of L, then, per column, the
   // Constraint-2 Gauss-Seidel cross terms.
   ctx.r_next.resize(n, rr);
-  for (std::size_t t = 0; t < ctx.rhs_r_terms; ++t) {
-    ws.x[t] = l.row_span(t % m).data();
-  }
+  for (std::size_t i = 0; i < m; ++i) ws.x[i] = l.row_span(i).data();
+  for (std::size_t t = m; t < ctx.rhs_r_terms; ++t) ws.x[t] = ws.x[t - m];
   linalg::kernels::axpy_panel(ctx.rhs_r.data(), ctx.rhs_r_terms, n,
                               ws.x.data(), ctx.rhs_r_terms,
                               ctx.r_next.data().data(), rr, rr);
@@ -463,41 +511,36 @@ void SelfAugmentedRsvd::update_r(const RsvdProblem& problem, const Weights& w,
     }
   }
 
-  // One tile of columns' Q, element by element across the lanes:
-  // (lambda*I + L^T L) minus the unobserved rows' outer products, then the
-  // Constraint-1 curvature, then the two Constraint-2 rank-1s of each
-  // lane's band row — per element the per-system op sequence.
+  // One tile of columns' Q in one pass, element by element across the
+  // lanes: (lambda*I + L^T L) minus the unobserved rows' outer products,
+  // then the Constraint-1 curvature, then the Constraint-2 rank-1s of each
+  // lane's band row (w2 then w3, the adjacent lane vectors of the tile's
+  // curvature) — per element the per-system op sequence.
   const auto build = [&](std::size_t tile, std::size_t j0, std::size_t lanes) {
-    linalg::kernels::tile_seed(ws.tile.data(), rr, ctx.lql.data().data(),
-                               active_lanes(lanes));
+    const double* curvature = nullptr;
+    std::size_t rank1s = 0;
+    if (c2) {
+      for (std::size_t lane = 0; lane < lw; ++lane) {
+        const double* l_band =
+            lane < lanes ? l.row_span(layout_.band_of(j0 + lane)).data()
+                         : nullptr;
+        for (std::size_t k = 0; k < rr; ++k) {
+          ws.band[k * lw + lane] = l_band != nullptr ? l_band[k] : 0.0;
+        }
+      }
+      curvature = ctx.col_curvature.data() + tile * 2 * lw;
+      if (w.w2 > 0.0) ++rank1s;
+      if (w.w3 > 0.0) ++rank1s;
+      if (w.w2 == 0.0) curvature += lw;
+    }
     const TileUnions& u = ctx.col_unions;
     const std::size_t first = u.start[tile];
-    linalg::kernels::tile_rank1_union(
-        ws.tile.data(), rr, l.data().data(), rr, u.idx.data() + first,
-        u.lanes.data() + first, u.start[tile + 1] - first);
-    if (w.w1 > 0.0) {
-      linalg::kernels::tile_axpy_shared(ws.tile.data(), rr, w.w1,
-                                        ctx.ltl.data().data(),
-                                        active_lanes(lanes));
-    }
-    if (!c2) return;
-    for (std::size_t lane = 0; lane < lw; ++lane) {
-      const double* l_band =
-          lane < lanes ? l.row_span(layout_.band_of(j0 + lane)).data()
-                       : nullptr;
-      for (std::size_t k = 0; k < rr; ++k) {
-        ws.band[k * lw + lane] = l_band != nullptr ? l_band[k] : 0.0;
-      }
-    }
-    const double* curvature = ctx.col_curvature.data() + tile * 2 * lw;
-    if (w.w2 > 0.0) {
-      linalg::kernels::tile_rank1_lanes(ws.tile.data(), rr, curvature,
-                                        ws.band.data());
-    }
-    if (w.w3 > 0.0) {
-      linalg::kernels::tile_rank1_lanes(ws.tile.data(), rr, curvature + lw,
-                                        ws.band.data());
-    }
+    linalg::kernels::tile_build_union(
+        ws.tile.data(), rr, ctx.lql.data().data(), active_lanes(lanes),
+        l.data().data(), rr, u.idx.data() + first, u.lanes.data() + first,
+        u.start[tile + 1] - first, w.w1,
+        w.w1 > 0.0 ? ctx.ltl.data().data() : nullptr, curvature, rank1s,
+        ws.band.data());
   };
   solve_batched(n, rr, ws, ctx.r_next, build);
 }
@@ -537,9 +580,8 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
   // Constraint-1 terms over the rows of R.  The similarity cross term of a
   // row is appended by its tile's build below.
   ctx.l_next.resize(m, rr);
-  for (std::size_t t = 0; t < ctx.rhs_l_terms; ++t) {
-    ws.x[t] = r.row_span(t % n).data();
-  }
+  for (std::size_t j = 0; j < n; ++j) ws.x[j] = r.row_span(j).data();
+  for (std::size_t t = n; t < ctx.rhs_l_terms; ++t) ws.x[t] = ws.x[t - n];
   linalg::kernels::axpy_panel(ctx.rhs_l.data(), ctx.rhs_l_terms, m,
                               ws.x.data(), ctx.rhs_l_terms,
                               ctx.l_next.data().data(), rr, rr);
@@ -613,7 +655,7 @@ void SelfAugmentedRsvd::update_l(const RsvdProblem& problem, const Weights& w,
     linalg::kernels::tile_seed(ws.tile.data(), rr, ctx.rql.data().data(),
                                live);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const auto& unobs = ctx.unobs_cols[i0 + lane];
+      const auto unobs = ctx.unobs_cols[i0 + lane];
       const std::size_t count = unobs.size();
       for (std::size_t t = 0; t < count; ++t) {
         const double* rj = r.row_span(unobs[t]).data();
@@ -686,16 +728,7 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   {
     const std::size_t m = problem.b.rows();
     const std::size_t n = problem.b.cols();
-    ctx.unobs_rows.assign(n, {});
-    ctx.unobs_cols.assign(m, {});
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (problem.b(i, j) == 0.0) {
-          ctx.unobs_rows[j].push_back(i);
-          ctx.unobs_cols[i].push_back(j);
-        }
-      }
-    }
+    unobserved_sets(problem.b, ctx.unobs_rows, ctx.unobs_cols);
     ctx.col_unions = tile_unions(ctx.unobs_rows, m);
     if (options_.use_constraint2 && (w.w2 > 0.0 || w.w3 > 0.0)) {
       constexpr std::size_t lw = linalg::kernels::kSpdLanes;
@@ -731,7 +764,7 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   {
     const std::size_t rr = l_hat.cols();
     constexpr std::size_t lanes = linalg::kernels::kSpdLanes;
-    ctx.x_hat_prev.resize(l_hat.rows(), problem.b.cols());
+    ctx.x_hat.resize(l_hat.rows(), problem.b.cols());
     Workspace& ws = ctx.ws;
     ws.tile.resize(rr * rr * lanes);
     ws.pristine.resize(rr * rr * lanes);
@@ -761,8 +794,11 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
   const double data_scale =
       std::max(linalg::frobenius_norm_sq(problem.x_b), 1.0);
 
+  bool last_best = false;
   for (std::size_t it = 0; it < options_.max_iters; ++it) {
-    update_r(problem, w, l_hat, r_hat, ctx);
+    // x_hat_prev = the previous sweep's x_hat (zero before the first).
+    std::swap(ctx.x_hat, ctx.x_hat_prev);
+    update_r(problem, w, l_hat, ctx);
     update_l(problem, w, l_hat, ctx.r_next, ctx);
     // Rebalance the factors: scaling L by s and R by 1/s leaves the
     // product unchanged and, at s = (||R||/||L||)^(1/2), minimises the
@@ -781,7 +817,8 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
     out.objective_history.push_back(v);
     out.iterations = it + 1;
 
-    if (v <= best_v) {
+    last_best = v <= best_v;
+    if (last_best) {
       best_v = v;
       out.l = ctx.l_next;
       out.r = ctx.r_next;
@@ -806,19 +843,25 @@ RsvdResult SelfAugmentedRsvd::solve(const RsvdProblem& problem) const {
     // Convergence stop (RsvdOptions::converge_db): the X_hat objective()
     // just built from this sweep's factors moved by at most the tolerance
     // at every entry, and this sweep holds the best objective.
-    if (options_.converge_db > 0.0 && out.iterations >= 2 && v <= best_v &&
+    if (options_.converge_db > 0.0 && out.iterations >= 2 && last_best &&
         within(ctx.x_hat, ctx.x_hat_prev, options_.converge_db)) {
       out.converged = true;
       break;
     }
-    std::swap(ctx.x_hat, ctx.x_hat_prev);
   }
 
   if (out.l.empty()) {  // max_iters == 0 edge case
     out.l = l_hat;
     out.r = r_hat;
   }
-  linalg::multiply_transposed_into(out.l, out.r, out.x_hat);
+  // When the last sweep holds the best objective (every convergence stop
+  // does), its x_hat is already out.l out.r^T: each element is
+  // dot(l_i, r_j), bit for bit the multiply_transposed_into element.
+  if (last_best) {
+    out.x_hat = std::move(ctx.x_hat);
+  } else {
+    linalg::multiply_transposed_into(out.l, out.r, out.x_hat);
+  }
   return out;
 }
 

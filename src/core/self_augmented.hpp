@@ -36,7 +36,11 @@
 // fails replays through linalg::solve_spd_into (bump ladder, LU fallback)
 // from a copy of its tile taken before factoring.  All sweep scratch
 // lives in a SweepContext sized once per solve, so steady-state
-// iterations perform zero heap allocations.
+// iterations perform zero heap allocations.  The R-update's tile is built
+// in one register pass per row block (kernels::tile_build_union), its
+// Constraint-2 X_D is gathered from the previous sweep's X_hat instead of
+// recomputed, and when the last sweep is the best one its X_hat is the
+// result's.
 // The solve runs only until the reconstruction settles
 // (RsvdOptions::converge_db): after each sweep the X_hat the objective
 // builds is compared with the previous sweep's (two swapped buffers), and
@@ -104,10 +108,10 @@ class SelfAugmentedRsvd {
                    SweepContext& ctx) const;
 
   /// Closed-form update of every column of Theta = R^T with L fixed
-  /// (Algorithm 1 line 3 / Eq. 24).  Writes ctx.r_next.
+  /// (Algorithm 1 line 3 / Eq. 24).  Reads the previous R's X_D from
+  /// ctx.x_hat_prev; writes ctx.r_next.
   void update_r(const RsvdProblem& problem, const Weights& w,
-                const linalg::Matrix& l, const linalg::Matrix& r_prev,
-                SweepContext& ctx) const;
+                const linalg::Matrix& l, SweepContext& ctx) const;
 
   /// Closed-form update of every row of L with R fixed (line 4).
   /// Writes ctx.l_next.

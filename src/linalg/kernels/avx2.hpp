@@ -112,6 +112,10 @@ inline void axpy_panel(const double* coef, std::size_t ldc, std::size_t rows,
                        std::size_t ldy, std::size_t n) {
   simd::axpy_panel<Lanes>(coef, ldc, rows, x, count, y, ldy, n);
 }
+inline bool gram_upper(const double* a, std::size_t rows, std::size_t n,
+                       double* out) {
+  return simd::gram_upper<Lanes>(a, rows, n, out);
+}
 inline unsigned spd_factor_lanes(double* tile, std::size_t n) {
   return simd::spd_factor_lanes<Lanes>(tile, n);
 }

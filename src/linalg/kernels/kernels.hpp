@@ -63,12 +63,17 @@
 //    factorisation fails.  The batched sweep (core/self_augmented.cpp)
 //    relies on all of them to keep every committed bit.
 //  * Zero-skips (the rank-1 row skips of gram_into and the sweep's Q
-//    build, the multiply_into pivot skip) are exact no-ops on finite
+//    build, the wide multiply_into pivot skip) are exact no-ops on finite
 //    data: a contribution 0.0 * v adds +/-0, and an accumulator seeded
-//    with +0 can never round to -0, so skipping cannot change any finite
-//    result.  The same argument lets the sweep's right-hand-side panels
-//    carry an unobserved entry as an exact zero coefficient instead of
-//    skipping its term.
+//    with +0 never becomes -0 by a sum, so skipping cannot change any
+//    finite result.  The one exception is a nonzero product that
+//    underflows to -0: an accumulator holding that -0 turns +0 when a
+//    +0 term is added.  The same argument lets the sweep's right-hand-side
+//    panels, and multiply_into's axpy_panel route for outputs of up to 16
+//    columns, carry a zero entry as an exact zero coefficient instead of
+//    skipping its term.  gram_into keeps its skip exactly: its register
+//    blocks (gram_upper) interleave the output rows over one pass of the
+//    rows of a, and skip each zero pivot through a masked FMA.
 #pragma once
 
 #include <cstddef>
@@ -178,6 +183,19 @@ inline void axpy_panel(const double* coef, std::size_t ldc, std::size_t rows,
                        const double* const* x, std::size_t count, double* y,
                        std::size_t ldy, std::size_t n) {
   active::axpy_panel(coef, ldc, rows, x, count, y, ldy, n);
+}
+
+/// Upper triangle of the Gram matrix A^T A of the row-major rows x n
+/// matrix a into the row-major n x n `out`, element (p, q) the chain over
+/// the rows i ascending of a(i, p) * a(i, q), from +0, skipping
+/// a(i, p) == 0 — the row-at-a-time axpy_sequence build of
+/// linalg::gram_into, bit for bit — with blocks of output rows held in
+/// registers over one pass of a each.  The strict lower triangle is left
+/// holding scratch.  Returns false, writing nothing, where the active
+/// level has no such kernel: the scalar level, and n == 0 or n > 16.
+inline bool gram_upper(const double* a, std::size_t rows, std::size_t n,
+                       double* out) {
+  return active::gram_upper(a, rows, n, out);
 }
 
 /// First column of an upper-triangle row build with axpy_sequence: row a

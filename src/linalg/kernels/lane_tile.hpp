@@ -45,20 +45,38 @@ void tile_seed(double* tile, std::size_t n, const double* seed,
   }
 }
 
-/// Rank-1 downdates over a union of rows: for t ascending, in the lanes
-/// of lanes[t], tile(a, b) += (-x_t[a]) * x_t[b] with x_t the row idx[t]
-/// of the row-major `x` (leading dimension ldx), skipped where x_t[a] is
-/// zero.  A lane whose own row set is ascending sees its rows in order,
-/// so it gets the per-system chain of those downdates.  Each tile row is
-/// built in blocks of up to eight elements held in registers across the
-/// whole union.
+/// One tile of downdated systems, built in one pass.  Per element (a, b),
+/// b >= a, and per lane, in this order:
+///  1. the seed: seed[a * n + b] in the lanes of `active`, the identity in
+///     the others (tile_seed);
+///  2. rank-1 downdates over a union of rows: for t ascending, in the
+///     lanes of lanes[t], += (-x_t[a]) * x_t[b] with x_t the row idx[t] of
+///     the row-major `x` (leading dimension ldx), skipped where x_t[a] is
+///     zero.  A lane whose own row set is ascending sees its rows in
+///     order, so it gets the per-system chain of those downdates;
+///  3. when `shared` is not null, += alpha * shared[a * n + b] in the
+///     lanes of `active` (tile_axpy_shared);
+///  4. for k in [0, rank1s), += coef_k * v[a] * v[b] with coef_k the lane
+///     vector coef + k * W and v one of length n, in the lanes where
+///     coef_k * v[a] is nonzero (tile_rank1_lanes).
+/// Each tile row is built in blocks of up to eight elements held in
+/// registers through all four steps, and every element is stored once.
 template <class L = active::Lanes>
-void tile_rank1_union(double* tile, std::size_t n, const double* x,
-                      std::size_t ldx, const std::size_t* idx,
-                      const unsigned* lanes, std::size_t count) {
+void tile_build_union(double* tile, std::size_t n, const double* seed,
+                      unsigned active, const double* x, std::size_t ldx,
+                      const std::size_t* idx, const unsigned* lanes,
+                      std::size_t count, double alpha, const double* shared,
+                      const double* coef, std::size_t rank1s,
+                      const double* v) {
   constexpr std::size_t w = L::kWidth;
   constexpr std::size_t kBlock = 8;
   using Vec = typename L::Vec;
+  // A partial tile seeds through memory (its idle lanes differ); a full
+  // one broadcasts the seed straight into the registers.
+  const bool full = active == (1u << w) - 1u;
+  if (!full) tile_seed<L>(tile, n, seed, active);
+  const auto live = L::mask(active);
+  const auto va = L::set1(alpha);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b0 = a; b0 < n; b0 += kBlock) {
       const std::size_t len = std::min(kBlock, n - b0);
@@ -66,17 +84,34 @@ void tile_rank1_union(double* tile, std::size_t n, const double* x,
       Vec acc[kBlock] = {};
 #pragma GCC unroll 8
       for (std::size_t k = 0; k < kBlock; ++k) {
-        if (k < len) acc[k] = L::load(e + k * w);
+        if (k < len) {
+          acc[k] = full ? L::set1(seed[a * n + b0 + k]) : L::load(e + k * w);
+        }
       }
       for (std::size_t t = 0; t < count; ++t) {
         const double* xt = x + idx[t] * ldx;
         if (xt[a] == 0.0) continue;
         const auto m = L::mask(lanes[t]);
-        const Vec alpha = L::set1(-xt[a]);
+        const Vec neg = L::set1(-xt[a]);
+#pragma GCC unroll 8
+        for (std::size_t k = 0; k < kBlock; ++k) {
+          if (k < len) acc[k] = L::fma_if(m, neg, L::set1(xt[b0 + k]), acc[k]);
+        }
+      }
+      if (shared != nullptr) {
+        const double* sh = shared + a * n + b0;
+#pragma GCC unroll 8
+        for (std::size_t k = 0; k < kBlock; ++k) {
+          if (k < len) acc[k] = L::fma_if(live, va, L::set1(sh[k]), acc[k]);
+        }
+      }
+      for (std::size_t r = 0; r < rank1s; ++r) {
+        const auto ra = L::mul(L::load(coef + r * w), L::load(v + a * w));
+        const auto m = L::mask(L::nonzero(ra));
 #pragma GCC unroll 8
         for (std::size_t k = 0; k < kBlock; ++k) {
           if (k < len) {
-            acc[k] = L::fma_if(m, alpha, L::set1(xt[b0 + k]), acc[k]);
+            acc[k] = L::fma_if(m, ra, L::load(v + (b0 + k) * w), acc[k]);
           }
         }
       }

@@ -123,6 +123,13 @@ inline void axpy_panel(const double* coef, std::size_t ldc, std::size_t rows,
   }
 }
 
+/// The register-blocked Gram build of the vector levels: this level has
+/// none, so it always returns false and linalg::gram_into runs its
+/// row-at-a-time axpy_sequence build.
+inline bool gram_upper(const double*, std::size_t, std::size_t, double*) {
+  return false;
+}
+
 /// Lane-vector ops of the generic lane-tile kernels (kernels/lane_tile.hpp).
 /// One lane: a lane vector is one double, and fma is axpy's element
 /// expression, so every lane-tile kernel reduces to the per-system loop.

@@ -22,9 +22,9 @@
 //    which keeps identities like diff_norm_sq(x, y) == norm_sq(x - y)
 //    exact;
 //  * the panel and lane kernels (dot_panel, axpy_sequence, axpy_panel,
-//    spd_factor_lanes, spd_solve_lanes, and the lane-tile kernels of
-//    lane_tile.hpp) replay this level's dot / axpy op sequence per
-//    column, per element and per lane.
+//    gram_upper, spd_factor_lanes, spd_solve_lanes, and the lane-tile
+//    kernels of lane_tile.hpp) replay this level's dot / axpy op sequence
+//    per column, per element and per lane.
 //
 // Every body is `inline` and the small shared helpers are always inlined:
 // GCC gives function templates that are not declared inline its lower
@@ -196,6 +196,70 @@ template <class L, std::size_t R8, std::size_t R16, std::size_t V = 1>
   return axpy_panel_regs<L, V, kRows>(coef, ldc, rows, x, count, y, ldy, n);
 }
 
+/// gram_upper body: blocks of R output rows from row p on, each held in V
+/// registers over columns [0, n) (the last one masked at the row end),
+/// built over one pass of the rows of a: row i's V registers are loaded
+/// once and feed every output row of the block, output row q taking
+/// a(i, q) * a_i through a masked FMA that skips a(i, q) == 0.  Returns
+/// the first row not done.
+template <class L, std::size_t V, std::size_t R>
+inline std::size_t gram_rows_regs(const double* a, std::size_t rows,
+                                  std::size_t n, std::size_t p, double* out) {
+  constexpr std::size_t w = L::kWidth;
+  using Vec = typename L::Vec;
+  const std::size_t rem = n - w * (V - 1);
+  const auto m = L::first(rem);
+  const bool full = rem == w;
+  for (; p + R <= n; p += R) {
+    Vec acc[R][V];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] = L::zero();
+    }
+    for (std::size_t i = 0; i < rows; ++i) {
+      const double* ai = a + i * n;
+      Vec xi[V];
+      for (std::size_t v = 0; v + 1 < V; ++v) xi[v] = L::load(ai + w * v);
+      xi[V - 1] = full ? L::load(ai + w * (V - 1))
+                       : L::load_first(m, ai + w * (V - 1));
+      for (std::size_t r = 0; r < R; ++r) {
+        const Vec c = L::set1(ai[p + r]);
+        const auto skip = L::mask(L::nonzero(c));
+        for (std::size_t v = 0; v < V; ++v) {
+          acc[r][v] = L::fma_if(skip, c, xi[v], acc[r][v]);
+        }
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      double* row = out + (p + r) * n;
+      for (std::size_t v = 0; v + 1 < V; ++v) L::store(row + w * v, acc[r][v]);
+      if (full) {
+        L::store(row + w * (V - 1), acc[r][V - 1]);
+      } else {
+        L::store_first(m, row + w * (V - 1), acc[r][V - 1]);
+      }
+    }
+  }
+  return p;
+}
+
+/// gram_rows_regs at V = ceil(n / W) registers per row, for 0 < n <= 16:
+/// blocks of four rows while V <= 2, else of two, then the leftover rows.
+template <class L, std::size_t V = 1>
+[[gnu::always_inline]] inline void gram_regs(const double* a, std::size_t rows,
+                                             std::size_t n, double* out) {
+  constexpr std::size_t w = L::kWidth;
+  if constexpr (w * V < 16) {
+    if (n > w * V) {
+      gram_regs<L, V + 1>(a, rows, n, out);
+      return;
+    }
+  }
+  constexpr std::size_t kRows = V <= 2 ? 4 : 2;
+  std::size_t p = gram_rows_regs<L, V, kRows>(a, rows, n, 0, out);
+  if constexpr (kRows > 2) p = gram_rows_regs<L, V, 2>(a, rows, n, p, out);
+  gram_rows_regs<L, V, 1>(a, rows, n, p, out);
+}
+
 }  // namespace detail
 
 template <class L>
@@ -334,6 +398,22 @@ inline void axpy_panel(const double* coef, std::size_t ldc, std::size_t rows,
   for (; c < rows; ++c) {
     axpy_sequence<L>(coef + c * ldc, x, count, y + c * ldy, n);
   }
+}
+
+/// Upper triangle of the Gram matrix A^T A of the row-major rows x n
+/// matrix a into the row-major n x n `out`: out(p, q), q >= p, takes
+/// a(i, p) * a(i, q) for i ascending from +0, skipping a(i, p) == 0 — per
+/// element the chain of one rank-1 update per row of a through this
+/// level's axpy.  All n output rows stay in registers, in blocks over one
+/// pass of a each, instead of one output row at a time; the strict lower
+/// triangle is left holding scratch.  Handles 0 < n <= 16 and returns
+/// false, writing nothing, for any other n.
+template <class L>
+inline bool gram_upper(const double* a, std::size_t rows, std::size_t n,
+                       double* out) {
+  if (n == 0 || n > 16) return false;
+  detail::gram_regs<L>(a, rows, n, out);
+  return true;
 }
 
 /// Lane-batched R^T R factorisation of W interleaved n x n systems

@@ -303,11 +303,28 @@ void multiply_into(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t inner = a.cols();
   const std::size_t n = b.cols();
   out.resize(m, n, 0.0);
-  // Blocked i-k-j: for every out element the k contributions still arrive
-  // in ascending order (k tiles ascending, k ascending within a tile), so
-  // the result matches the naive triple loop at the active dispatch level
-  // (the pivot zero-skip is an exact no-op on finite data, see
-  // kernels.hpp).
+  // For every out element the k contributions arrive in ascending order,
+  // each one axpy element op, so the result matches the naive triple loop
+  // at the active dispatch level.  Outputs of up to 16 columns run as
+  // kernels::axpy_panel passes, the rows of a the coefficient rows and the
+  // rows of b the terms, in ascending chunks of k: several out rows stay
+  // in registers over one load of each b row, and a(i, k) == 0 is an FMA
+  // with a zero coefficient.  Wider outputs run blocked i-k-j, skipping
+  // the zero pivots.  Either way is exact on finite data (the zero-skip
+  // contract in kernels.hpp).
+  if (n <= 16) {
+    constexpr std::size_t kChunk = 64;
+    const double* x[kChunk];
+    for (std::size_t k0 = 0; k0 < inner; k0 += kChunk) {
+      const std::size_t count = std::min(kChunk, inner - k0);
+      for (std::size_t t = 0; t < count; ++t) {
+        x[t] = b.row_span(k0 + t).data();
+      }
+      kernels::axpy_panel(a.data().data() + k0, inner, m, x, count,
+                          out.data().data(), n, n);
+    }
+    return;
+  }
   for (std::size_t i0 = 0; i0 < m; i0 += kTile) {
     const std::size_t i1 = std::min(i0 + kTile, m);
     for (std::size_t k0 = 0; k0 < inner; k0 += kTile) {
@@ -389,32 +406,35 @@ void gram_into(const Matrix& a, Matrix& out) {
   out.resize(n, n, 0.0);
   // Upper-triangle row p = sum over the rows i of a, ascending, of
   // a(i, p) * a_i, skipping a(i, p) == 0 — per element the sequence of
-  // one rank-1 update per row of a — as one ordered axpy_sequence per
-  // output row, so factor-width rows (the sweep's L^T L, R^T R and Theta
-  // grams) stay in registers.  Terms are issued in chunks.
-  constexpr std::size_t kChunk = 32;
-  double alpha[kChunk] = {};
-  const double* x[kChunk] = {};
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t s = kernels::upper_row_start(p, n);
-    double* row = out.row_span(p).data() + s;
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      const double* ai = a.row_span(i).data();
-      if (ai[p] == 0.0) continue;
-      alpha[k] = ai[p];
-      x[k] = ai + s;
-      if (++k == kChunk) {
-        kernels::axpy_sequence(alpha, x, k, row, n - s);
-        k = 0;
+  // one rank-1 update per row of a.  Up to 16 columns the vector levels
+  // build blocks of output rows in registers over one pass of a each
+  // (kernels::gram_upper); otherwise each output row is one ordered
+  // axpy_sequence, so factor-width rows still stay in registers.  Terms
+  // are issued in chunks.
+  if (!kernels::gram_upper(a.data().data(), a.rows(), n, out.data().data())) {
+    constexpr std::size_t kChunk = 32;
+    double alpha[kChunk] = {};
+    const double* x[kChunk] = {};
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::size_t s = kernels::upper_row_start(p, n);
+      double* row = out.row_span(p).data() + s;
+      std::size_t k = 0;
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        const double* ai = a.row_span(i).data();
+        if (ai[p] == 0.0) continue;
+        alpha[k] = ai[p];
+        x[k] = ai + s;
+        if (++k == kChunk) {
+          kernels::axpy_sequence(alpha, x, k, row, n - s);
+          k = 0;
+        }
       }
+      kernels::axpy_sequence(alpha, x, k, row, n - s);
     }
-    kernels::axpy_sequence(alpha, x, k, row, n - s);
   }
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t q = 0; q < p; ++q) out(p, q) = out(q, p);
   }
 }
-
 
 }  // namespace iup::linalg

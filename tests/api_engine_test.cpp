@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/updater.hpp"
@@ -300,6 +302,34 @@ TEST(EngineSnapshots, ReferenceOverrideCommitsNewCorrelation) {
       eval::collect_update_request(run, "office", cells, 45));
   ASSERT_TRUE(rep.ok()) << rep.status().to_string();
   EXPECT_EQ(rep.value().reference_count, 9u);
+}
+
+// The value of a temporary Result is returned by value, never as a
+// reference into the Result that dies at the end of the full expression.
+static_assert(std::is_same_v<
+              decltype(std::declval<Result<std::vector<CellId>>>().value()),
+              std::vector<CellId>>);
+static_assert(
+    std::is_same_v<decltype(*std::declval<Result<std::vector<CellId>>>()),
+                   std::vector<CellId>>);
+
+TEST(EngineResult, RangeForOverATemporaryResultSeesTheValue) {
+  // The range-init binds the value of a temporary Result; the Result
+  // itself is destroyed before the first iteration.  With a reference into
+  // it the loop read freed memory (garbage cells, a heap-use-after-free
+  // under ASan).
+  const auto& run = iup::test::office_run();
+  Engine engine = office_engine(run);
+  const std::vector<CellId> expect = engine.reference_cells("office").value();
+  ASSERT_FALSE(expect.empty());
+  std::vector<CellId> seen;
+  for (const CellId c : engine.reference_cells("office").value()) {
+    seen.push_back(c);
+  }
+  EXPECT_EQ(seen, expect);
+  seen.clear();
+  for (const CellId c : *engine.reference_cells("office")) seen.push_back(c);
+  EXPECT_EQ(seen, expect);
 }
 
 TEST(EngineSolver, RsvdOptionsChangeTheSolve) {

@@ -12,7 +12,9 @@
 // scalar-vs-SIMD comparisons live in linalg_simd_kernels_test.cpp.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
@@ -55,6 +57,40 @@ TEST(TiledMultiply, BitIdenticalToNaiveIncludingOddShapes) {
     Matrix out;
     multiply_into(a, b, out);
     EXPECT_EQ(out, expected);
+  }
+}
+
+TEST(TiledMultiply, PanelRouteBitIdenticalToNaive) {
+  // Outputs of up to 16 columns run as axpy_panel passes over ascending
+  // chunks of 64 terms, the zero pivots as FMAs with a zero coefficient.
+  // Against the naive loop bit for bit (so a +0 / -0 flip counts): row
+  // counts that leave a partial register block, inner sizes across the
+  // chunk boundary, exact-zero and -0.0 pivots and one all-zero column of
+  // a; 17 columns checks the tiled route beside it.
+  rng::Rng rng(12);
+  const auto bits_of = [](const Matrix& x) {
+    std::vector<std::uint64_t> out;
+    for (const double v : x.data()) out.push_back(std::bit_cast<std::uint64_t>(v));
+    return out;
+  };
+  for (const std::size_t n : {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 12ul,
+                              15ul, 16ul, 17ul}) {
+    for (const std::size_t m : {1ul, 2ul, 3ul, 5ul, 6ul, 7ul, 9ul, 13ul}) {
+      for (const std::size_t inner : {1ul, 2ul, 8ul, 63ul, 64ul, 65ul, 130ul}) {
+        Matrix a = test::random_matrix(m, inner, rng);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t k = i % 3; k < inner; k += 3) {
+            a(i, k) = k % 2 == 0 ? 0.0 : -0.0;
+          }
+          a(i, inner / 2) = 0.0;
+        }
+        const Matrix b = test::random_matrix(inner, n, rng);
+        Matrix out;
+        multiply_into(a, b, out);
+        EXPECT_EQ(bits_of(out), bits_of(naive_multiply(a, b)))
+            << m << "x" << inner << " * " << inner << "x" << n;
+      }
+    }
   }
 }
 

@@ -222,6 +222,7 @@ std::vector<std::uint64_t> bits(const std::vector<double>& v) {
     static constexpr auto dot_panel = &NS::dot_panel;                 \
     static constexpr auto axpy_sequence = &NS::axpy_sequence;         \
     static constexpr auto axpy_panel = &NS::axpy_panel;               \
+    static constexpr auto gram_upper = &NS::gram_upper;               \
     static constexpr auto spd_factor_lanes = &NS::spd_factor_lanes;   \
     static constexpr auto spd_solve_lanes = &NS::spd_solve_lanes;     \
   }
@@ -359,6 +360,60 @@ TYPED_TEST(KernelAxpyPanel, EveryRowBitIdenticalToAxpySequence) {
   }
 }
 
+template <class K>
+class KernelGramUpper : public ::testing::Test {};
+TYPED_TEST_SUITE(KernelGramUpper, CheckedLevels, LevelName);
+
+TYPED_TEST(KernelGramUpper, BitIdenticalToTheRowAtATimeBuild) {
+  // The register-blocked Gram build against gram_into's row-at-a-time
+  // build at the same level (one axpy_sequence per upper-triangle row from
+  // upper_row_start, zero pivots skipped) over widths 1..17, every row
+  // count 0..130 and exact-zero and -0.0 pivots.  The vector levels build
+  // every width up to 16 and decline 17; the scalar level declines all.
+  using K = TypeParam;
+  const bool vector_level = std::string(K::kName) != "scalar";
+  rng::Rng rng(117);
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (std::size_t rows = 0; rows <= 130; ++rows) {
+      Matrix a = test::random_matrix(rows, n, rng);
+      for (std::size_t i = 0; i < rows; i += 3) {
+        a(i, (i / 3) % n) = i % 2 == 0 ? 0.0 : -0.0;
+      }
+      std::vector<double> expect(n * n, 0.0);
+      std::vector<double> alpha;
+      std::vector<const double*> x;
+      for (std::size_t p = 0; p < n; ++p) {
+        const std::size_t s = upper_row_start(p, n);
+        alpha.clear();
+        x.clear();
+        for (std::size_t i = 0; i < rows; ++i) {
+          const double* ai = a.row_span(i).data();
+          if (ai[p] == 0.0) continue;
+          alpha.push_back(ai[p]);
+          x.push_back(ai + s);
+        }
+        K::axpy_sequence(alpha.data(), x.data(), alpha.size(),
+                         expect.data() + p * n + s, n - s);
+      }
+      std::vector<double> got(n * n, -7.0);
+      const bool built = K::gram_upper(a.data().data(), rows, n, got.data());
+      ASSERT_EQ(built, vector_level && n <= 16) << "n=" << n;
+      if (!built) {
+        EXPECT_EQ(got, std::vector<double>(n * n, -7.0)) << "n=" << n;
+        continue;
+      }
+      for (std::size_t p = 0; p < n; ++p) {
+        for (std::size_t q = p; q < n; ++q) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[p * n + q]),
+                    std::bit_cast<std::uint64_t>(expect[p * n + q]))
+              << "n=" << n << " rows=" << rows << " (" << p << "," << q
+              << ")";
+        }
+      }
+    }
+  }
+}
+
 /// cholesky_upper_in_place + solve_factored_spd on one row-major n x n
 /// system, written with level K's own axpy and dot; false where the
 /// factorisation fails.
@@ -453,8 +508,8 @@ TEST(KernelAxpySequence, GramIntoMatchesRankOneLoop) {
   // triangle per row of a (row-suffix axpys, zero pivots skipped), with
   // exact-zero pivots and widths on both sides of the register boundary.
   rng::Rng rng(114);
-  for (const std::size_t n : {1ul, 3ul, 7ul, 8ul, 9ul, 12ul, 16ul, 17ul}) {
-    for (const std::size_t rows : {1ul, 6ul, 40ul, 70ul}) {
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (const std::size_t rows : {0ul, 1ul, 6ul, 40ul, 70ul, 130ul}) {
       Matrix a = test::random_matrix(rows, n, rng);
       for (std::size_t i = 0; i < rows; i += 4) a(i, (i / 4) % n) = 0.0;
       Matrix expect(n, n, 0.0);

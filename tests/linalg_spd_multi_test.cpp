@@ -175,7 +175,7 @@ TEST(SpdLanes, FailureMaskIsExactAndGoodLanesUnaffected) {
 /// unobserved downdates over its own ascending rows of x, the shared
 /// Constraint-1 matrix term, two rank-1 terms of its band row (the
 /// R-update's Constraint-2 curvature) and one matrix term of its own (the
-/// L-update's Theta curvature).
+/// L-update's Theta curvature; none when t is empty).
 struct SystemTerms {
   std::vector<std::size_t> unobs;
   double c2 = 0.0;
@@ -188,7 +188,8 @@ struct SystemTerms {
 /// The per-system Q build the lane tile replaces, kept as the reference:
 /// per upper-triangle row a, one axpy_sequence over the row-suffix terms
 /// in order, with the rank-1 terms skipped where their scaled pivot is
-/// exactly zero.
+/// exactly zero.  An empty m1 drops the shared term, as the sweep does at
+/// w1 = 0.
 linalg::Matrix reference_q(const linalg::Matrix& seed, const linalg::Matrix& x,
                            double w1, const linalg::Matrix& m1,
                            const SystemTerms& st) {
@@ -210,59 +211,91 @@ linalg::Matrix reference_q(const linalg::Matrix& seed, const linalg::Matrix& x,
       const double* xi = x.row_span(i).data();
       add_nonzero(-1.0 * xi[a], xi + s);
     }
-    alpha.push_back(w1);
-    xs.push_back(m1.row_span(a).data() + s);
+    if (!m1.empty()) {
+      alpha.push_back(w1);
+      xs.push_back(m1.row_span(a).data() + s);
+    }
     add_nonzero(st.c2 * st.band[a], st.band.data() + s);
     add_nonzero(st.c3 * st.band[a], st.band.data() + s);
-    alpha.push_back(st.ct);
-    xs.push_back(st.t.row_span(a).data() + s);
+    if (!st.t.empty()) {
+      alpha.push_back(st.ct);
+      xs.push_back(st.t.row_span(a).data() + s);
+    }
     linalg::kernels::axpy_sequence(alpha.data(), xs.data(), alpha.size(),
                                    q.row_span(a).data() + s, n - s);
   }
   return q;
 }
 
-/// The same systems built straight into one lane tile, the sweep's way.
+/// The union of the systems' unobserved rows, ascending, and per row the
+/// mask of lanes whose set holds it: tile_build_union's downdate operands.
+struct Union {
+  std::vector<std::size_t> idx;
+  std::vector<unsigned> lanes;
+};
+
+Union union_of(const std::vector<SystemTerms>& systems, std::size_t rows) {
+  Union u;
+  for (std::size_t i = 0; i < rows; ++i) {
+    unsigned bits_i = 0;
+    for (std::size_t lane = 0; lane < systems.size(); ++lane) {
+      const auto& un = systems[lane].unobs;
+      if (std::find(un.begin(), un.end(), i) != un.end()) bits_i |= 1u << lane;
+    }
+    if (bits_i != 0) {
+      u.idx.push_back(i);
+      u.lanes.push_back(bits_i);
+    }
+  }
+  return u;
+}
+
+/// The R-update's build of the systems' first four terms, in one pass:
+/// the seed, the union's downdates, the shared term (none when m1 is
+/// empty) and `rank1s` band rank-1s, the c3 one alone when rank1s == 1.
+std::vector<double> build_union_tile(const linalg::Matrix& seed,
+                                     const linalg::Matrix& x, double w1,
+                                     const linalg::Matrix& m1,
+                                     const std::vector<SystemTerms>& systems,
+                                     std::size_t rank1s) {
+  const std::size_t n = seed.rows();
+  const unsigned live = (1u << systems.size()) - 1u;
+  std::vector<double> tile(n * n * kLanes, -7.0);
+  std::vector<double> coef(2 * kLanes, 0.0), band(n * kLanes, 0.0);
+  for (std::size_t lane = 0; lane < systems.size(); ++lane) {
+    coef[lane] = systems[lane].c2;
+    coef[kLanes + lane] = systems[lane].c3;
+    for (std::size_t k = 0; k < n; ++k) {
+      band[k * kLanes + lane] = systems[lane].band[k];
+    }
+  }
+  const Union u = union_of(systems, x.rows());
+  linalg::kernels::tile_build_union(
+      tile.data(), n, seed.data().data(), live, x.data().data(), n,
+      u.idx.data(), u.lanes.data(), u.idx.size(), w1,
+      m1.empty() ? nullptr : m1.data().data(),
+      coef.data() + (rank1s == 1 ? kLanes : 0), rank1s, band.data());
+  return tile;
+}
+
+/// The same systems built straight into one lane tile, the sweep's way:
+/// the R-update's one-pass build, then each lane's own matrix term.
 std::vector<double> build_tile(const linalg::Matrix& seed,
                                const linalg::Matrix& x, double w1,
                                const linalg::Matrix& m1,
                                const std::vector<SystemTerms>& systems) {
   const std::size_t n = seed.rows();
   const unsigned live = (1u << systems.size()) - 1u;
-  std::vector<double> tile(n * n * kLanes, -7.0);
-  linalg::kernels::tile_seed(tile.data(), n, seed.data().data(), live);
-  std::vector<std::size_t> idx;
-  std::vector<unsigned> lanes;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    unsigned bits_i = 0;
-    for (std::size_t lane = 0; lane < systems.size(); ++lane) {
-      const auto& u = systems[lane].unobs;
-      if (std::find(u.begin(), u.end(), i) != u.end()) bits_i |= 1u << lane;
-    }
-    if (bits_i != 0) {
-      idx.push_back(i);
-      lanes.push_back(bits_i);
-    }
-  }
-  linalg::kernels::tile_rank1_union(tile.data(), n, x.data().data(), n,
-                                    idx.data(), lanes.data(), idx.size());
-  linalg::kernels::tile_axpy_shared(tile.data(), n, w1, m1.data().data(),
-                                    live);
-  std::vector<double> c2(kLanes, 0.0), c3(kLanes, 0.0), ct(kLanes, 0.0);
-  std::vector<double> band(n * kLanes, 0.0), t(n * n * kLanes, 0.0);
+  std::vector<double> tile = build_union_tile(seed, x, w1, m1, systems, 2);
+  std::vector<double> ct(kLanes, 0.0), t(n * n * kLanes, 0.0);
   for (std::size_t lane = 0; lane < systems.size(); ++lane) {
-    c2[lane] = systems[lane].c2;
-    c3[lane] = systems[lane].c3;
     ct[lane] = systems[lane].ct;
     for (std::size_t k = 0; k < n; ++k) {
-      band[k * kLanes + lane] = systems[lane].band[k];
       for (std::size_t b = 0; b < n; ++b) {
         t[(k * n + b) * kLanes + lane] = systems[lane].t(k, b);
       }
     }
   }
-  linalg::kernels::tile_rank1_lanes(tile.data(), n, c2.data(), band.data());
-  linalg::kernels::tile_rank1_lanes(tile.data(), n, c3.data(), band.data());
   linalg::kernels::tile_axpy_lanes(tile.data(), n, ct.data(), t.data(), live);
   return tile;
 }
@@ -312,6 +345,50 @@ TEST(LaneTileBuild, EveryLaneMatchesThePerSystemBuild) {
                 << "n=" << n << " used=" << used << " lane=" << lane << " ("
                 << a << "," << b << ") level="
                 << linalg::kernels::active_level_name();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneTileBuild, OnePassUnionBuildMatchesThePerSystemBuildLaneByLane) {
+  // tile_build_union alone, the R-update's Q: full and partial tiles (the
+  // idle lanes must hold the identity), with and without the shared
+  // Constraint-1 term (w1 = 0 drops it), and with no band rank-1 (no
+  // Constraint 2), the w3 one alone, or both.
+  rng::Rng rng(315);
+  for (const std::size_t n : {1ul, 3ul, 6ul, 8ul, 9ul, 17ul}) {
+    for (const std::size_t used : {kLanes, kLanes > 1 ? kLanes - 1 : 1, 1ul}) {
+      for (const double w1 : {0.75, 0.0}) {
+        for (const std::size_t rank1s : {0ul, 1ul, 2ul}) {
+          linalg::Matrix x = test::random_matrix(n + 5, n, rng);
+          for (std::size_t i = 0; i < x.rows(); i += 3) x(i, i % n) = 0.0;
+          const linalg::Matrix seed = random_spd(n, rng);
+          const linalg::Matrix m1 =
+              w1 > 0.0 ? random_spd(n, rng) : linalg::Matrix();
+          auto systems = random_systems(used, n, x, rng);
+          for (SystemTerms& st : systems) {
+            if (rank1s < 2) st.c2 = 0.0;
+            if (rank1s < 1) st.c3 = 0.0;
+            st.t = linalg::Matrix();
+          }
+          const std::vector<double> tile =
+              build_union_tile(seed, x, w1, m1, systems, rank1s);
+          for (std::size_t lane = 0; lane < kLanes; ++lane) {
+            const linalg::Matrix q =
+                lane < used ? reference_q(seed, x, w1, m1, systems[lane])
+                            : linalg::Matrix::identity(n);
+            for (std::size_t a = 0; a < n; ++a) {
+              for (std::size_t b = a; b < n; ++b) {
+                EXPECT_EQ(bits(tile[(a * n + b) * kLanes + lane]),
+                          bits(q(a, b)))
+                    << "n=" << n << " used=" << used << " w1=" << w1
+                    << " rank1s=" << rank1s << " lane=" << lane << " (" << a
+                    << "," << b << ") level="
+                    << linalg::kernels::active_level_name();
+              }
+            }
           }
         }
       }
