@@ -5,13 +5,13 @@ Compares a fresh micro-bench run against a baseline and FAILS (exit 1)
 when any benchmark's wall-clock real_time regressed by more than
 --max-regression (default 25%).  Two baseline sources:
 
-- --baseline FILE: a run produced on the SAME machine (CI benches the
-  base commit in the same job and passes it here).  Preferred — timings
-  never cross hardware.
-- default: the "before" half of BENCH_micro.json, which scripts/bench.sh
-  rotated from the previously committed run.  Only meaningful on the
-  reference machine that produced the committed numbers (used locally to
-  sanity-check a change against the committed trajectory).
+- default: the "before" half of BENCH_micro.json.  After
+  `BASE=<rev> scripts/bench.sh` it is <rev> benched on the same host,
+  row by row interleaved with this tree (what CI gates on); after a plain
+  scripts/bench.sh it is the previously committed run, only meaningful on
+  the machine that produced it.
+- --baseline FILE: compare against another file's run, e.g. a suite
+  recorded separately on the same machine.
 
 Known-noisy rows are skipped by default: the multi-thread wall-clock rows
 (BM_UpdateBatchFourSites/4, BM_LocalizeBatch/8, ...) measure the fan-out

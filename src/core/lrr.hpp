@@ -21,7 +21,10 @@
 // solve_factored_spd loop (tests/core_mic_lrr_test.cpp pins it).  On a
 // 4-vCPU AVX-512 host at -march=native that took about half off the
 // office (8 x 96) warm refresh and a third to a half off its cold solve
-// (BM_LrrCorrelationWarm, BM_LrrCorrelation).  Steady-state iterations
+// (BM_LrrCorrelationWarm, BM_LrrCorrelation).  The SVT's Jin^T Jin and
+// the setup's A^T A run through gram_into's register blocks and the
+// thresholded product Jin * S through multiply_into's axpy_panel route,
+// both bit-identical to the row-at-a-time loops.  Steady-state iterations
 // perform zero heap allocations.
 #pragma once
 
