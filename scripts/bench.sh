@@ -71,8 +71,9 @@ trap cleanup EXIT
 if [ -n "${BASE:-}" ]; then
   WORKTREE=$(mktemp -d "${TMPDIR:-/tmp}/iup-bench-base.XXXXXX")/tree
   git worktree add --detach "$WORKTREE" "$BASE" > /dev/null
-  build_benches "$WORKTREE" "$BUILD_DIR-base"
-  read -r -a BASE_BINS <<< "$(bench_bins "$BUILD_DIR-base")"
+  # Built beside its worktree, so both go when the run ends.
+  build_benches "$WORKTREE" "$(dirname "$WORKTREE")/build"
+  read -r -a BASE_BINS <<< "$(bench_bins "$(dirname "$WORKTREE")/build")"
 fi
 for BIN in "${BINS[@]}" "${BASE_BINS[@]}"; do
   if [ ! -x "$BIN" ]; then
